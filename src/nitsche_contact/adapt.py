@@ -247,6 +247,9 @@ def run_study(cfg: StudyConfig) -> StudyOutput:
 
     Every recorded step comes from a converged contact solve; solver
     nonconvergence propagates with the partial record list attached.
+    The first solve starts from the fully active indicator; every later
+    one starts from the previous step's converged contact indicator,
+    transferred onto the refined interface (``ContactProblem.warm_start``).
     """
     setup = make_experiment(cfg.experiment, e2=cfg.e2)
     mesh1, mesh2 = initial_meshes(setup, cfg.resolutions)
@@ -259,6 +262,9 @@ def run_study(cfg: StudyConfig) -> StudyOutput:
         n = free_dof_count(problem)
         if records and n > cfg.max_dofs:
             break
+        if last is not None:
+            prev = last[2]
+            problem.warm_start = (prev.data.points, prev.active)
         try:
             result = solve(solver_cfg, problem)
         except NonconvergenceError as exc:

@@ -416,14 +416,40 @@ def _add_common(p):
     p.add_argument("--out", default="out")
 
 
+class _ConfigFile(argparse.Action):
+    """``--config FILE``: the file's ``key=value`` lines become the defaults
+    of every subcommand, so flags on the command line override them.  The
+    subcommand is parsed after this action runs, which converts the string
+    values with each flag's type."""
+
+    def __init__(self, option_strings, dest, subcommands, **kwargs):
+        super().__init__(option_strings, dest, **kwargs)
+        self.subcommands = subcommands
+
+    def __call__(self, parser, namespace, value, option_string=None):
+        path = Path(value)
+        if not path.is_file():
+            parser.error(f"config file {value} does not exist")
+        overrides = {}
+        for line in path.read_text().splitlines():
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            key, _, raw = line.partition("=")
+            overrides[key.strip().replace("-", "_")] = raw.strip()
+        for subparser in self.subcommands.values():
+            subparser.set_defaults(**overrides)
+        setattr(namespace, self.dest, value)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nitsche-contact",
         description="Adaptive FEM for frictionless two-body contact with Nitsche mortaring",
     )
-    parser.add_argument("--config", default=None,
-                        help="key=value file; command-line flags override it")
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.add_argument("--config", action=_ConfigFile, subcommands=sub.choices,
+                        help="key=value file; command-line flags override it")
 
     p = sub.add_parser("solve", help="single solve with field and pressure export")
     _add_common(p)
@@ -455,32 +481,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config_file(parser, argv):
-    if "--config" not in argv:
-        return argv
-    i = argv.index("--config")
-    path = Path(argv[i + 1])
-    overrides = {}
-    for line in path.read_text().splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, _, value = line.partition("=")
-        overrides[key.strip().replace("-", "_")] = value.strip()
-    for action in parser._subparsers._group_actions[0].choices.values():  # noqa: SLF001
-        defaults = {}
-        for act in action._actions:  # noqa: SLF001
-            if act.dest in overrides:
-                raw = overrides[act.dest]
-                defaults[act.dest] = act.type(raw) if act.type else raw
-        action.set_defaults(**defaults)
-    return argv
-
-
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
-    argv = _apply_config_file(parser, argv)
     args = parser.parse_args(argv)
     return args.func(args)
 

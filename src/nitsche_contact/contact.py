@@ -11,7 +11,11 @@ tractions are combined on the interface:
   through the inverse penalty weight.
 
 The contact region is tracked pointwise at the interface quadrature
-points and resolved by a fixed-point iteration on the active set.
+points and resolved by a fixed-point iteration on the active set.  The
+iteration starts from the fully active indicator, or, when the problem
+carries the converged samples of a solve on a nearby mesh (the previous
+step of an adaptive study), from that indicator transferred onto the new
+samples by position along the interface.
 Quadrature uses ``degree + 1`` Gauss points per interface segment, which
 integrates every coupling term exactly and makes the multiplier samples
 an exact parametrisation of the segmentwise polynomial multiplier.
@@ -68,7 +72,6 @@ class NitscheConfig:
     alpha: float = 1e-2
     drop_inactive_terms: bool = True
     max_iterations: int = 30
-    update_tol: float = 1e-10
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
@@ -125,6 +128,9 @@ class ContactProblem:
     segments: list
     body_loads: tuple = (None, None)
     pins: tuple = ()
+    # (points (m, 2), active (m,)) of a converged solve on a nearby mesh;
+    # the active-set iteration starts from it instead of all-active
+    warm_start: Optional[tuple] = None
 
     @staticmethod
     def build(mesh1: Mesh, mesh2: Mesh, degree: int, materials, segments,
@@ -442,21 +448,57 @@ def _solve_linear(A, b, fixed, ndofs):
     return expand(uf, free, ndofs)
 
 
+def transfer_active(points: np.ndarray, start_points, start_active) -> np.ndarray:
+    """Contact indicator at ``points`` taken from the nearest start sample.
+
+    Distance is measured along the coordinate that varies along the
+    interface (the axis rule of ``lambda_profile``); of two equally near
+    start samples the one with the lower index wins.
+    """
+    start_points = np.asarray(start_points, dtype=float)
+    start_active = np.asarray(start_active, dtype=bool)
+    if start_active.shape != (start_points.shape[0],):
+        raise ValueError(
+            f"start indicator has shape {start_active.shape}, expected "
+            f"({start_points.shape[0]},) to match the start points"
+        )
+    if start_points.shape[0] == 0:
+        raise ValueError("start samples are empty")
+    axis = int(np.argmax(start_points.max(axis=0) - start_points.min(axis=0)))
+    order = np.argsort(start_points[:, axis], kind="stable")
+    s = start_points[order, axis]
+    x = points[:, axis]
+    hi = np.minimum(np.searchsorted(s, x), len(s) - 1)
+    lo = np.maximum(hi - 1, 0)
+    # the first of equal coordinates carries the lowest index (stable sort)
+    lo = np.searchsorted(s, s[lo])
+    d_lo = np.abs(x - s[lo])
+    d_hi = np.abs(s[hi] - x)
+    pick = np.where((d_lo < d_hi) | ((d_lo == d_hi) & (order[lo] < order[hi])),
+                    order[lo], order[hi])
+    return start_active[pick]
+
+
 def solve(config: NitscheConfig, problem: ContactProblem,
           data: Optional[InterfaceData] = None) -> SolveResult:
     """Active-set fixed point: assemble for a guessed contact region,
     solve, re-detect, repeat until the indicator reproduces itself.
 
-    The iteration starts from the fully active indicator (the bodies are
-    modelled as initially in contact).  A repeated non-consecutive
-    indicator is reported as nonconvergence rather than damped.
+    The iteration starts from ``problem.warm_start`` transferred onto the
+    interface samples (``transfer_active``) when it is set, and otherwise
+    from the fully active indicator (the bodies are modelled as initially
+    in contact).  A repeated non-consecutive indicator is reported as
+    nonconvergence rather than damped.
     """
     if data is None:
         data = build_interface_data(problem)
     A0, b = bulk_system(problem)
     fixed = problem.fixed_mask()
 
-    active = np.ones(data.num_samples, dtype=bool)
+    if problem.warm_start is None:
+        active = np.ones(data.num_samples, dtype=bool)
+    else:
+        active = transfer_active(data.points, *problem.warm_start)
     seen = {active.tobytes()}
     history = []
     u_prev = None

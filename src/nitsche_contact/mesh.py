@@ -398,7 +398,7 @@ def bisect_refine(mesh: Mesh, marked) -> Mesh:
     input mesh keep their positions and indices.  ``parents`` on the
     result maps each triangle to its ancestor in the input mesh.
     """
-    marked = np.atleast_1d(np.asarray(list(marked), dtype=int)) if len(list(marked)) else np.array([], dtype=int)
+    marked = np.atleast_1d(np.asarray(list(marked), dtype=int))
     if marked.size == 0:
         return mesh
     if marked.min() < 0 or marked.max() >= mesh.num_triangles:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ from nitsche_contact.adapt import (
     regression_slope,
     run_study,
 )
-from nitsche_contact.contact import NonconvergenceError
+from nitsche_contact.contact import NonconvergenceError, solve
 
 
 class TestExperiments:
@@ -156,6 +158,17 @@ class TestDeskScaleProperties:
     def test_iteration_counts_small(self, pressing_studies):
         for out in pressing_studies.values():
             assert all(r.iterations <= 10 for r in out.records)
+
+    def test_warm_start_matches_cold_solve(self, bending_adaptive_p2):
+        out = bending_adaptive_p2
+        assert all(r.iterations <= 5 for r in out.records[1:])
+        warm = out.result
+        assert warm.problem.warm_start is not None
+        cold = solve(out.config.solver_config(),
+                     dataclasses.replace(warm.problem, warm_start=None))
+        assert cold.iterations > warm.iterations
+        assert np.array_equal(cold.active, warm.active)
+        assert np.linalg.norm(warm.u - cold.u) <= 1e-10 * np.linalg.norm(cold.u)
 
     def test_bending_resolves_contact_corner(self, bending_adaptive_p2):
         # triangles near the free end of the contact zone end up much

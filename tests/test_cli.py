@@ -120,6 +120,28 @@ class TestConfigFile:
         assert rc == 0
         assert "cosine (degree 1" in capsys.readouterr().out
 
+    def test_equals_form(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("experiment=cosine\nrefine=0\n")
+        rc = main([f"--config={cfg}", "solve", "--out", str(tmp_path / "out")])
+        assert rc == 0
+        assert "cosine (degree 1" in capsys.readouterr().out
+
+    def test_missing_value_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["--config"])
+        assert err.value.code == 2
+        assert "--config" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("form", ["split", "equals"])
+    def test_missing_file_is_usage_error(self, tmp_path, capsys, form):
+        path = str(tmp_path / "absent.cfg")
+        flag = ["--config", path] if form == "split" else [f"--config={path}"]
+        with pytest.raises(SystemExit) as err:
+            main(flag + ["solve", "--out", str(tmp_path)])
+        assert err.value.code == 2
+        assert "absent.cfg" in capsys.readouterr().err
+
 
 class TestHelpers:
     def test_worker_count_env(self, monkeypatch):

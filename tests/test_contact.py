@@ -17,6 +17,7 @@ from nitsche_contact.contact import (
     interface_coefficients,
     lh_values,
     solve,
+    transfer_active,
 )
 from nitsche_contact.fem import MaterialParams, dirichlet_mask, interpolate
 from nitsche_contact.mesh import build_interface, uniform_refine
@@ -199,6 +200,35 @@ class TestSolve:
         d = energy_norm(prob, r1.u - r2.u) / scale
         assert 0 < d < 0.05
         assert r2.lam.min() >= 0.0
+
+
+class TestWarmStart:
+    def test_nearest_sample_along_interface(self):
+        start = np.array([[1.0, 0.0], [1.0, 1.0]])
+        points = np.array([[1.0, 0.2], [1.0, 0.5], [1.0, 0.9], [1.0, 1.4]])
+        got = transfer_active(points, start, np.array([True, False]))
+        assert list(got) == [True, True, False, False]
+        # an exact tie goes to the lower start index, wherever it lies
+        got = transfer_active(points, start[::-1], np.array([False, True]))
+        assert list(got) == [True, False, False, False]
+
+    def test_own_converged_samples_settle_in_one_iteration(self):
+        _, prob = small_problem("bending", degree=2, sweeps=2)
+        cfg = NitscheConfig(alpha=1e-3)
+        cold = solve(cfg, prob)
+        assert cold.iterations > 1
+        prob.warm_start = (cold.data.points, cold.active)
+        warm = solve(cfg, prob)
+        assert warm.iterations == 1
+        assert np.array_equal(warm.active, cold.active)
+        assert np.allclose(warm.u, cold.u, rtol=0.0, atol=1e-12 * np.abs(cold.u).max())
+
+    def test_start_length_mismatch(self):
+        _, prob = small_problem("bending")
+        data = build_interface_data(prob)
+        prob.warm_start = (data.points, np.ones(data.num_samples - 1, dtype=bool))
+        with pytest.raises(ValueError, match="start indicator"):
+            solve(NitscheConfig(alpha=1e-2), prob, data)
 
 
 class TestEquilibrium:

@@ -174,6 +174,15 @@ class TestRefine:
         m = body1_mesh()
         assert bisect_refine(m, []) is m
 
+    def test_generator_marks_like_list(self):
+        m = body1_mesh()
+        r_gen = bisect_refine(m, (t for t in [0, 1]))
+        r_list = bisect_refine(m, [0, 1])
+        assert r_gen.num_triangles > m.num_triangles
+        assert np.array_equal(r_gen.vertices, r_list.vertices)
+        assert np.array_equal(r_gen.triangles, r_list.triangles)
+        assert np.array_equal(r_gen.parents, r_list.parents)
+
     def test_mark_all_preserves_area(self):
         m = body1_mesh()
         r = bisect_refine(m, range(m.num_triangles))
