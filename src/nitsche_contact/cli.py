@@ -11,9 +11,7 @@ plot with the regression line.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +30,7 @@ from .adapt import (
     run_study,
 )
 from .contact import (
+    JUNTUNEN,
     VARIANTS,
     NitscheConfig,
     energy_norm,
@@ -47,16 +46,6 @@ from .oracle import check_vi_residual, solve_mixed
 
 def _fmt(x: float) -> str:
     return f"{x:.17g}"
-
-
-def worker_count() -> int:
-    env = os.environ.get("NITSCHE_CONTACT_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return min(4, os.cpu_count() or 1)
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +254,7 @@ def _verify_patch(degree: int, unclamped: bool):
     setup = make_experiment("patch")
     mesh1, mesh2 = initial_meshes(setup, ((2, 3), (3, 4)))
     problem = make_problem(setup, mesh1, mesh2, degree)
-    config = NitscheConfig(variant=JUNTUNEN_DEFAULT, alpha=DEFAULT_ALPHA[degree])
+    config = NitscheConfig(variant=JUNTUNEN, alpha=DEFAULT_ALPHA[degree])
     result = solve(config, problem)
     if unclamped:
         result.lam = reconstruct_lambda(result.data, problem.materials, config,
@@ -326,7 +315,7 @@ def _verify_positivity(unclamped: bool):
     mesh1 = uniform_refine(mesh1, 2)
     mesh2 = uniform_refine(mesh2, 2)
     problem = make_problem(setup, mesh1, mesh2, 1)
-    config = NitscheConfig(variant=JUNTUNEN_DEFAULT, alpha=DEFAULT_ALPHA[1])
+    config = NitscheConfig(variant=JUNTUNEN, alpha=DEFAULT_ALPHA[1])
     result = solve(config, problem)
     lam = reconstruct_lambda(result.data, problem.materials, config,
                              result.u, clamp=not unclamped)
@@ -354,22 +343,19 @@ def _verify_dorfler():
     return {"dorfler-minimality": bool(ok)}, ""
 
 
-JUNTUNEN_DEFAULT = "juntunen"
-
-
 def cmd_verify(args) -> int:
     jobs = [lambda d=d: _verify_patch(d, args.unclamped_multiplier) for d in (1, 2)]
     jobs += [lambda: _verify_positivity(args.unclamped_multiplier)]
     jobs += [lambda s=s: _verify_oracle(s) for s in range(args.oracle_instances)]
     jobs += [_verify_dorfler]
     failures = []
-    with ThreadPoolExecutor(max_workers=worker_count()) as pool:
-        for checks, detail in pool.map(lambda j: j(), jobs):
-            for name, ok in checks.items():
-                status = "PASS" if ok else "FAIL"
-                print(f"{status} {name}" + (f" ({detail})" if detail else ""))
-                if not ok:
-                    failures.append(name)
+    for job in jobs:
+        checks, detail = job()
+        for name, ok in checks.items():
+            status = "PASS" if ok else "FAIL"
+            print(f"{status} {name}" + (f" ({detail})" if detail else ""))
+            if not ok:
+                failures.append(name)
     if failures:
         print(f"{len(failures)} check(s) failed: {', '.join(failures)}", file=sys.stderr)
         return 1
@@ -406,7 +392,7 @@ def _parse_resolutions(text: str):
 def _add_common(p):
     p.add_argument("--experiment", choices=EXPERIMENTS, default="pressing")
     p.add_argument("--degree", type=int, choices=(1, 2), default=1)
-    p.add_argument("--variant", choices=VARIANTS, default=JUNTUNEN_DEFAULT)
+    p.add_argument("--variant", choices=VARIANTS, default=JUNTUNEN)
     p.add_argument("--alpha", type=float, default=None,
                    help="stabilisation parameter (default 1e-2 for degree 1, 1e-3 for degree 2)")
     p.add_argument("--e2", type=float, default=None,
@@ -416,11 +402,31 @@ def _add_common(p):
     p.add_argument("--out", default="out")
 
 
+_BOOLEAN_WORDS = {"true": True, "yes": True, "1": True,
+                  "false": False, "no": False, "0": False}
+
+
+class _Parser(argparse.ArgumentParser):
+    """Argument parser that keeps its actions by destination, so that
+    ``--config`` can check each key against the flags it names."""
+
+    def __init__(self, *args, **kwargs):
+        self.flags = {}
+        super().__init__(*args, **kwargs)
+
+    def add_argument(self, *args, **kwargs):
+        action = super().add_argument(*args, **kwargs)
+        self.flags[action.dest] = action
+        return action
+
+
 class _ConfigFile(argparse.Action):
     """``--config FILE``: the file's ``key=value`` lines become the defaults
     of every subcommand, so flags on the command line override them.  The
     subcommand is parsed after this action runs, which converts the string
-    values with each flag's type."""
+    values with each flag's type.  A switch (``--svg``) takes
+    true/false/yes/no/1/0; a key that names no flag of any subcommand, or
+    any other switch value, is a usage error."""
 
     def __init__(self, option_strings, dest, subcommands, **kwargs):
         super().__init__(option_strings, dest, **kwargs)
@@ -436,14 +442,24 @@ class _ConfigFile(argparse.Action):
             if not line or line.startswith("#"):
                 continue
             key, _, raw = line.partition("=")
-            overrides[key.strip().replace("-", "_")] = raw.strip()
+            key, raw = key.strip().replace("-", "_"), raw.strip()
+            flags = [sp.flags[key] for sp in self.subcommands.values() if key in sp.flags]
+            if not flags:
+                parser.error(f"config file {value}: {key!r} names no flag of any subcommand")
+            if flags[0].nargs == 0:
+                if raw.lower() not in _BOOLEAN_WORDS:
+                    parser.error(f"config file {value}: {key!r} takes true/false/yes/no/1/0,"
+                                 f" not {raw!r}")
+                overrides[key] = _BOOLEAN_WORDS[raw.lower()]
+            else:
+                overrides[key] = raw
         for subparser in self.subcommands.values():
             subparser.set_defaults(**overrides)
         setattr(namespace, self.dest, value)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="nitsche-contact",
         description="Adaptive FEM for frictionless two-body contact with Nitsche mortaring",
     )

@@ -24,7 +24,8 @@ an exact parametrisation of the segmentwise polynomial multiplier.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -80,48 +81,25 @@ class NitscheConfig:
             raise ValueError("stabilisation parameter alpha must be positive")
 
 
-@dataclass(frozen=True)
-class InterfaceCoefficients:
-    """Per-segment mortaring weights.
-
-    ``w1 + w2 == 1``; ``beta`` is the penalty weight of the weighted
-    variants, ``gamma`` the traction-jump weight, ``beta_slave`` the
-    master-slave penalty ``mu_s / (alpha h_s)``.
-    """
-
-    w1: float
-    w2: float
-    beta: float
-    gamma: float
-    beta_slave: float
-    slave: int
+# names of the per-problem caches (cached properties of ContactProblem)
+_CACHES = ("_bulk", "_fixed", "_interface")
 
 
-def interface_coefficients(segments, materials, alpha: float, slave: Optional[int] = None):
-    mu1, mu2 = materials[0].mu, materials[1].mu
-    if slave is None:
-        slave = 2 if mu1 >= mu2 else 1
-    out = []
-    for s in segments:
-        denom = s.h1 * mu2 + s.h2 * mu1
-        hs = s.h2 if slave == 2 else s.h1
-        mus = mu2 if slave == 2 else mu1
-        out.append(
-            InterfaceCoefficients(
-                w1=s.h1 * mu2 / denom,
-                w2=s.h2 * mu1 / denom,
-                beta=mu1 * mu2 / (alpha * denom),
-                gamma=alpha * s.h1 * s.h2 / denom,
-                beta_slave=mus / (alpha * hs),
-                slave=slave,
-            )
-        )
-    return out
+def _read_only(*arrays):
+    for a in arrays:
+        a.setflags(write=False)
 
 
 @dataclass
 class ContactProblem:
-    """Everything a contact solve needs: spaces, materials, loads, interface."""
+    """Everything a contact solve needs: spaces, materials, loads, interface.
+
+    The bulk system (``bulk_system``), the fixed-dof mask (``fixed_mask``)
+    and the default interface samples (``build_interface_data``) are
+    computed once per instance, on first use, and handed out read-only.
+    Assigning any field other than ``warm_start`` drops them; changing a
+    field's contents in place (appending to ``segments``) does not.
+    """
 
     spaces: tuple
     materials: tuple
@@ -132,23 +110,26 @@ class ContactProblem:
     # the active-set iteration starts from it instead of all-active
     warm_start: Optional[tuple] = None
 
+    def __setattr__(self, name, value):
+        if name != "warm_start":
+            for key in _CACHES:
+                self.__dict__.pop(key, None)
+        super().__setattr__(name, value)
+
     @staticmethod
     def build(mesh1: Mesh, mesh2: Mesh, degree: int, materials, segments,
               body_loads=(None, None), pins=()) -> "ContactProblem":
-        s1 = FeSpace.build(mesh1, degree)
-        s2 = FeSpace.build(mesh2, degree)
-        problem = ContactProblem(
-            spaces=(s1, s2),
+        spaces = (FeSpace.build(mesh1, degree), FeSpace.build(mesh2, degree))
+        offsets = (0, spaces[0].num_dofs)
+        resolved = tuple(offsets[body - 1] + pin_dof(spaces[body - 1], point, comp)
+                         for body, point, comp in pins)
+        return ContactProblem(
+            spaces=spaces,
             materials=tuple(materials),
             segments=list(segments),
             body_loads=tuple(body_loads),
+            pins=resolved,
         )
-        resolved = []
-        for body, point, comp in pins:
-            space = problem.spaces[body - 1]
-            resolved.append(problem.offset(body) + pin_dof(space, point, comp))
-        problem.pins = tuple(resolved)
-        return problem
 
     def offset(self, body: int) -> int:
         return 0 if body == 1 else self.spaces[0].num_dofs
@@ -158,33 +139,55 @@ class ContactProblem:
         return self.spaces[0].num_dofs + self.spaces[1].num_dofs
 
     def fixed_mask(self) -> np.ndarray:
-        fixed = np.concatenate([dirichlet_mask(self.spaces[0]), dirichlet_mask(self.spaces[1])])
-        for dof in self.pins:
-            fixed[dof] = True
-        return fixed
+        """Dirichlet and pinned dofs of both bodies (cached, read-only)."""
+        return self._fixed
 
     @property
     def degree(self) -> int:
         return self.spaces[0].degree
 
+    @cached_property
+    def _fixed(self) -> np.ndarray:
+        fixed = np.concatenate([dirichlet_mask(self.spaces[0]), dirichlet_mask(self.spaces[1])])
+        fixed[list(self.pins)] = True
+        _read_only(fixed)
+        return fixed
+
+    @cached_property
+    def _bulk(self):
+        A = sp.block_diag(
+            [assemble_bulk(self.spaces[0], self.materials[0]),
+             assemble_bulk(self.spaces[1], self.materials[1])],
+            format="csr",
+        )
+        A.sum_duplicates()  # canonical now, so no later call sorts in place
+        b = np.zeros(self.num_dofs)
+        for body in (1, 2):
+            space = self.spaces[body - 1]
+            off = self.offset(body)
+            f = self.body_loads[body - 1]
+            if f is not None:
+                b[off:off + space.num_dofs] += assemble_load(space, f)
+            if any(r.traction is not None for r in space.mesh.boundary_spec.rules):
+                b[off:off + space.num_dofs] += assemble_boundary_load(space)
+        _read_only(A.data, A.indices, A.indptr, b)
+        return A, b
+
+    @cached_property
+    def _interface(self) -> "InterfaceData":
+        data = _interface_data(self)
+        _read_only(data.points, data.weights, data.seg_of, data.h1, data.h2,
+                   data.dofs, data.jump, data.t1, data.t2, *data.gauss)
+        return data
+
 
 def bulk_system(problem: ContactProblem):
-    """Block-diagonal elasticity matrix and the load vector of both bodies."""
-    A = sp.block_diag(
-        [assemble_bulk(problem.spaces[0], problem.materials[0]),
-         assemble_bulk(problem.spaces[1], problem.materials[1])],
-        format="csr",
-    )
-    b = np.zeros(problem.num_dofs)
-    for body in (1, 2):
-        space = problem.spaces[body - 1]
-        off = problem.offset(body)
-        f = problem.body_loads[body - 1]
-        if f is not None:
-            b[off:off + space.num_dofs] += assemble_load(space, f)
-        if any(r.traction is not None for r in space.mesh.boundary_spec.rules):
-            b[off:off + space.num_dofs] += assemble_boundary_load(space)
-    return A, b
+    """Block-diagonal elasticity matrix and the load vector of both bodies.
+
+    Assembled once per problem; the returned matrix and vector are the
+    problem's read-only cache.
+    """
+    return problem._bulk
 
 
 @dataclass
@@ -193,7 +196,8 @@ class InterfaceData:
 
     Per sample: position, weight, parent facet sizes, and the linear
     functionals (rows over the two adjacent elements' dofs) giving the
-    normal-displacement jump and each body's normal traction.
+    normal-displacement jump and each body's normal traction.  Sample
+    ``s * n_per_seg + k`` is Gauss point ``k`` of segment ``s``.
     """
 
     segments: list
@@ -215,74 +219,68 @@ class InterfaceData:
 
     def rows_dot(self, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
         """Evaluate row functionals against a coefficient vector."""
-        vals = np.empty(self.num_samples)
-        nq = self.n_per_seg
-        for s in range(len(self.segments)):
-            sl = slice(s * nq, (s + 1) * nq)
-            vals[sl] = rows[sl] @ u[self.dofs[s]]
-        return vals
+        nseg, npatch = self.dofs.shape
+        per_seg = rows.reshape(nseg, self.n_per_seg, npatch)
+        return np.einsum("sqp,sp->sq", per_seg, u[self.dofs]).ravel()
 
 
-def build_interface_data(problem: ContactProblem, n_gauss: Optional[int] = None) -> InterfaceData:
+def build_interface_data(problem: ContactProblem) -> InterfaceData:
+    """Interface samples with ``degree + 1`` Gauss points per segment.
+
+    Built once per problem; the returned object is the problem's
+    read-only cache.
+    """
+    return problem._interface
+
+
+def _interface_data(problem: ContactProblem) -> InterfaceData:
     degree = problem.degree
-    nq = (degree + 1) if n_gauss is None else n_gauss
+    nq = degree + 1
     xi, wg = gauss1d(nq)
     segs = problem.segments
+    nseg = len(segs)
+    ns = nq * nseg
     nl = problem.spaces[0].nodes_per_cell
-    npatch = 4 * nl
-    ns = nq * len(segs)
 
-    points = np.empty((ns, 2))
-    weights = np.empty(ns)
-    seg_of = np.empty(ns, dtype=int)
-    h1 = np.empty(ns)
-    h2 = np.empty(ns)
-    dofs = np.empty((len(segs), npatch), dtype=int)
-    jump = np.zeros((ns, npatch))
-    t1 = np.zeros((ns, npatch))
-    t2 = np.zeros((ns, npatch))
+    p0 = np.array([s.p0 for s in segs], dtype=float).reshape(nseg, 2)
+    p1 = np.array([s.p1 for s in segs], dtype=float).reshape(nseg, 2)
+    x = p0[:, None, :] + xi[None, :, None] * (p1 - p0)[:, None, :]   # (nseg, nq, 2)
+    length = np.hypot(*(p1 - p0).T)
+    # the interface is one straight line: every segment carries its normal
+    normal = segs[0].normal if segs else np.zeros(2)
 
-    for s, seg in enumerate(segs):
-        sl = slice(s * nq, (s + 1) * nq)
-        x = seg.p0[None, :] + xi[:, None] * (seg.p1 - seg.p0)[None, :]
-        points[sl] = x
-        weights[sl] = wg * seg.length
-        seg_of[sl] = s
-        h1[sl] = seg.h1
-        h2[sl] = seg.h2
+    jump, traction, dofs = [], [], []
+    for body, parents in ((1, [s.parent1 for s in segs]), (2, [s.parent2 for s in segs])):
+        space = problem.spaces[body - 1]
+        mesh = space.mesh
+        tri = mesh.facet_triangles[np.asarray(parents, dtype=int), 0]
+        p = mesh.vertices[mesh.triangles[tri]]                      # (nseg, 3, 2)
+        invA = np.linalg.inv(np.stack([p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]], axis=-1))
+        ref = np.einsum("sij,sqj->sqi", invA, x - p[:, None, 0]).reshape(ns, 2)
+        gref = shape_gradients(degree, ref).reshape(nseg, nq, nl, 2)
+        g = np.einsum("sqld,sde->sqle", gref, invA).reshape(ns, nl, 2)
+        n_body = normal if body == 1 else -normal
+        snn, _ = elastic_moduli_rows(g, n_body, problem.materials[body - 1])
+        # dof 2 * node + c of the normal displacement is phi_node * n_c
+        un = (shape_values(degree, ref)[:, :, None] * n_body).reshape(ns, 2 * nl)
+        jump.append(-un)
+        traction.append(snn)
+        nodes = space.cell_nodes[tri]
+        dofs.append(problem.offset(body)
+                    + np.stack([2 * nodes, 2 * nodes + 1], axis=-1).reshape(nseg, 2 * nl))
 
-        cols = []
-        for body, parent in ((1, seg.parent1), (2, seg.parent2)):
-            space = problem.spaces[body - 1]
-            mat = problem.materials[body - 1]
-            mesh = space.mesh
-            tri = int(mesh.facet_triangles[parent, 0])
-            ref = space.ref_coords(tri, x)
-            phi = shape_values(degree, ref)
-            gref = shape_gradients(degree, ref)
-            p = mesh.vertices[mesh.triangles[tri]]
-            A = np.stack([p[1] - p[0], p[2] - p[0]], axis=-1)
-            invA = np.linalg.inv(A)
-            g = gref @ invA
-            n_body = seg.normal if body == 1 else -seg.normal
-            snn, _ = elastic_moduli_rows(g, n_body, mat)
-
-            un = np.zeros((nq, 2 * nl))
-            for c in range(2):
-                un[:, c::2] = phi * n_body[c]
-
-            lo = (body - 1) * 2 * nl
-            block = slice(lo, lo + 2 * nl)
-            jump[sl, block] = -un
-            (t1 if body == 1 else t2)[sl, block] = snn
-            cols.append(problem.offset(body) + np.stack(
-                [2 * space.cell_nodes[tri], 2 * space.cell_nodes[tri] + 1], axis=1
-            ).ravel())
-        dofs[s] = np.concatenate(cols)
-
+    zero = np.zeros((ns, 2 * nl))
     return InterfaceData(
-        segments=segs, points=points, weights=weights, seg_of=seg_of,
-        h1=h1, h2=h2, dofs=dofs, jump=jump, t1=t1, t2=t2,
+        segments=segs,
+        points=x.reshape(ns, 2),
+        weights=(length[:, None] * wg[None, :]).ravel(),
+        seg_of=np.repeat(np.arange(nseg), nq),
+        h1=np.repeat(np.array([s.h1 for s in segs], dtype=float), nq),
+        h2=np.repeat(np.array([s.h2 for s in segs], dtype=float), nq),
+        dofs=np.hstack(dofs),
+        jump=np.hstack(jump),
+        t1=np.hstack([traction[0], zero]),
+        t2=np.hstack([zero, traction[1]]),
         gauss=(xi, wg), n_per_seg=nq,
     )
 
@@ -333,7 +331,9 @@ def assemble_nitsche(data: InterfaceData, materials, config: NitscheConfig,
     On the active samples: the penalty term, the two symmetric
     consistency terms, and (weighted variant only) the traction-jump
     stabilisation.  On inactive samples the variant's own stabilisation
-    term, unless dropped.
+    term, unless dropped.  Entries whose dof index in ``data.dofs`` is
+    negative are left out, so data renumbered onto the free dofs (fixed
+    dofs mapped to -1) assembles the constrained matrix directly.
     """
     if active.shape != (data.num_samples,):
         raise ValueError(
@@ -341,55 +341,37 @@ def assemble_nitsche(data: InterfaceData, materials, config: NitscheConfig,
         )
     w1, w2, beta, gamma, beta_ms, slave = _sample_coefficients(data, materials, config)
     mu1, mu2 = materials[0].mu, materials[1].mu
-    nq = data.n_per_seg
-    npatch = data.dofs.shape[1]
+    T1, T2, J = data.t1, data.t2, data.jump
+    if config.variant == MASTER_SLAVE:
+        M = T2 if slave == 2 else T1
+        pen = beta_ms
+    else:
+        M = w1[:, None] * T1 + w2[:, None] * T2
+        pen = beta
 
-    rows, cols, vals = [], [], []
-    for s in range(len(data.segments)):
-        sl = slice(s * nq, (s + 1) * nq)
-        K = np.zeros((npatch, npatch))
-        for k in range(nq):
-            i = s * nq + k
-            w = data.weights[i]
-            J = data.jump[i]
-            T1 = data.t1[i]
-            T2 = data.t2[i]
-            if config.variant == MASTER_SLAVE:
-                M = T2 if slave == 2 else T1
-                pen = beta_ms[i]
-            else:
-                M = w1[i] * T1 + w2[i] * T2
-                pen = beta[i]
-            if active[i]:
-                K += w * pen * np.outer(J, J)
-                K += w * (np.outer(M, J) + np.outer(J, M))
-                if config.variant == WEIGHTED:
-                    D = T2 - T1
-                    K -= w * gamma[i] * np.outer(D, D)
-            elif not config.drop_inactive_terms:
-                if config.variant == WEIGHTED:
-                    K -= w * config.alpha * (
-                        (data.h1[i] / mu1) * np.outer(T1, T1)
-                        + (data.h2[i] / mu2) * np.outer(T2, T2)
-                    )
-                elif config.variant == MASTER_SLAVE:
-                    Ts = T2 if slave == 2 else T1
-                    hs = data.h2[i] if slave == 2 else data.h1[i]
-                    mus = mu2 if slave == 2 else mu1
-                    K -= w * config.alpha * (hs / mus) * np.outer(Ts, Ts)
-                else:
-                    K -= w * np.outer(M, M) / pen
-        d = data.dofs[s]
-        rows.append(np.repeat(d, npatch))
-        cols.append(np.tile(d, npatch))
-        vals.append(K.ravel())
+    # (per-sample coefficient, left row, right row): coefficient * left^T right
+    on = data.weights * active
+    terms = [(on * pen, J, J), (on, M, J), (on, J, M)]
+    if config.variant == WEIGHTED:
+        terms.append((-on * gamma, T2 - T1, T2 - T1))
+    if not config.drop_inactive_terms:
+        off = data.weights * ~active
+        if config.variant == WEIGHTED:
+            terms.append((-off * config.alpha * data.h1 / mu1, T1, T1))
+            terms.append((-off * config.alpha * data.h2 / mu2, T2, T2))
+        elif config.variant == MASTER_SLAVE:
+            hs, mus = (data.h2, mu2) if slave == 2 else (data.h1, mu1)
+            terms.append((-off * config.alpha * hs / mus, M, M))
+        else:
+            terms.append((-off / pen, M, M))
 
-    if not rows:
-        return sp.csr_matrix((ndofs, ndofs))
-    return sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(ndofs, ndofs),
-    ).tocsr()
+    nseg, npatch = data.dofs.shape
+    K = sum(np.einsum("s,si,sj->sij", c, left, right) for c, left, right in terms)
+    K = K.reshape(nseg, data.n_per_seg, npatch * npatch).sum(axis=1)
+    rows = np.repeat(data.dofs, npatch, axis=1)
+    cols = np.tile(data.dofs, (1, npatch))
+    keep = (rows >= 0) & (cols >= 0)
+    return sp.coo_matrix((K[keep], (rows[keep], cols[keep])), shape=(ndofs, ndofs)).tocsr()
 
 
 @dataclass
@@ -420,7 +402,13 @@ class SolveResult:
 
 
 def _solve_linear(A, b, fixed, ndofs):
+    """Solve ``A u = b`` with the ``fixed`` dofs held at zero."""
     Af, bf, free = constrain(A, b, fixed)
+    return expand(_solve_reduced(Af, bf), free, ndofs)
+
+
+def _solve_reduced(Af, bf):
+    """Solve an already constrained system, refusing a singular one."""
     with warnings.catch_warnings():
         warnings.simplefilter("error", MatrixRankWarning)
         try:
@@ -432,7 +420,7 @@ def _solve_linear(A, b, fixed, ndofs):
         raise SolverError("linear solve produced non-finite values; "
                           "the system is likely missing Dirichlet constraints")
     if uf.size:
-        anorm = abs(Af).max()
+        anorm = np.abs(Af.data).max(initial=0.0)
         bnorm = np.abs(bf).max()
         if np.abs(uf).max() > 1e13 * (1.0 + bnorm / max(anorm, 1e-300)):
             raise SolverError(
@@ -445,7 +433,7 @@ def _solve_linear(A, b, fixed, ndofs):
                 "linear solve left a large residual; the system is singular "
                 "or inconsistent (insufficient Dirichlet constraints)"
             )
-    return expand(uf, free, ndofs)
+    return uf
 
 
 def transfer_active(points: np.ndarray, start_points, start_active) -> np.ndarray:
@@ -493,7 +481,12 @@ def solve(config: NitscheConfig, problem: ContactProblem,
     if data is None:
         data = build_interface_data(problem)
     A0, b = bulk_system(problem)
-    fixed = problem.fixed_mask()
+    # constrain once; each iteration assembles the interface term directly
+    # in free-dof numbering (fixed dofs map to -1 and are left out)
+    Af0, bf, free = constrain(A0, b, problem.fixed_mask())
+    local = np.full(problem.num_dofs, -1)
+    local[free] = np.arange(free.size)
+    reduced = replace(data, dofs=local[data.dofs])
 
     if problem.warm_start is None:
         active = np.ones(data.num_samples, dtype=bool)
@@ -504,8 +497,8 @@ def solve(config: NitscheConfig, problem: ContactProblem,
     u_prev = None
 
     for it in range(1, config.max_iterations + 1):
-        A = A0 + assemble_nitsche(data, problem.materials, config, active, problem.num_dofs)
-        u = _solve_linear(A, b, fixed, problem.num_dofs)
+        Af = Af0 + assemble_nitsche(reduced, problem.materials, config, active, free.size)
+        u = expand(_solve_reduced(Af, bf), free, problem.num_dofs)
         new_active = detect_active_set(data, problem.materials, config, u)
         unorm = float(np.linalg.norm(u))
         rel = (

@@ -82,59 +82,40 @@ def build_mixed_system(problem: ContactProblem, config: NitscheConfig,
     w1, w2, beta, _, beta_ms, slave = _sample_coefficients(data, problem.materials, config)
     mu1, mu2 = problem.materials[0].mu, problem.materials[1].mu
     alpha = config.alpha
+    T1, T2 = data.t1, data.t2
 
-    rows, cols, vals = [], [], []
+    # stabilisation of each variant: pairs (per-sample coefficient, traction rows)
+    if config.variant == WEIGHTED:
+        stab = [(alpha * data.h1 / mu1, T1), (alpha * data.h2 / mu2, T2)]
+        c_weight = alpha * (data.h1 / mu1 + data.h2 / mu2)
+    elif config.variant == MASTER_SLAVE:
+        Ts, hs, mus = (T2, data.h2, mu2) if slave == 2 else (T1, data.h1, mu1)
+        stab = [(alpha * hs / mus, Ts)]
+        c_weight = alpha * hs / mus
+    else:
+        stab = [(1.0 / beta, w1[:, None] * T1 + w2[:, None] * T2)]
+        c_weight = 1.0 / beta
 
-    def add(r, c_, v):
-        rows.append(r)
-        cols.append(c_)
-        vals.append(v)
+    w = data.weights
+    nseg, npatch = data.dofs.shape
+    # displacement-displacement stabilisation: -sum coeff T^T T, per segment
+    uu = sum(np.einsum("s,si,sj->sij", -w * coeff, T, T) for coeff, T in stab)
+    uu = uu.reshape(nseg, data.n_per_seg, npatch * npatch).sum(axis=1)
+    # displacement-multiplier coupling: -(jump + sum coeff T)
+    coupling = -w[:, None] * data.jump
+    for coeff, T in stab:
+        coupling = coupling - (w * coeff)[:, None] * T
+    d = data.dofs[data.seg_of]                       # (n_l, npatch)
+    diag = n_u + np.arange(n_l)                      # multiplier unknowns
+    mult = np.broadcast_to(diag[:, None], d.shape)
 
-    nq = data.n_per_seg
-    c_weight = np.empty(n_l)
-    for s in range(len(data.segments)):
-        d = data.dofs[s]
-        for k in range(nq):
-            i = s * nq + k
-            w = data.weights[i]
-            J = data.jump[i]
-            T1 = data.t1[i]
-            T2 = data.t2[i]
-            if config.variant == WEIGHTED:
-                stab = [(alpha * data.h1[i] / mu1, T1), (alpha * data.h2[i] / mu2, T2)]
-                c_q = alpha * (data.h1[i] / mu1 + data.h2[i] / mu2)
-            elif config.variant == MASTER_SLAVE:
-                Ts = T2 if slave == 2 else T1
-                hs = data.h2[i] if slave == 2 else data.h1[i]
-                mus = mu2 if slave == 2 else mu1
-                stab = [(alpha * hs / mus, Ts)]
-                c_q = alpha * hs / mus
-            else:
-                M = w1[i] * T1 + w2[i] * T2
-                stab = [(1.0 / beta[i], M)]
-                c_q = 1.0 / beta[i]
-            c_weight[i] = c_q
-
-            # displacement-displacement stabilisation: -sum coeff T^T T
-            for coeff, T in stab:
-                block = -w * coeff * np.outer(T, T)
-                add(np.repeat(d, len(d)), np.tile(d, len(d)), block.ravel())
-            # displacement-multiplier coupling: -(jump + sum coeff T)
-            col = np.full(len(d), n_u + i)
-            coupling = -w * data.jump[i].copy()
-            for coeff, T in stab:
-                coupling = coupling - w * coeff * T
-            add(d, col, coupling)
-            add(col, d, coupling)
-            # multiplier-multiplier: -c_q
-            add(np.array([n_u + i]), np.array([n_u + i]), np.array([-w * c_q]))
-
-    S = sp.coo_matrix(
-        (np.concatenate([np.asarray(v).ravel() for v in vals]),
-         (np.concatenate([np.asarray(r).ravel() for r in rows]),
-          np.concatenate([np.asarray(c_).ravel() for c_ in cols]))),
-        shape=(n_u + n_l, n_u + n_l),
-    ).tocsr()
+    rows = np.concatenate([np.repeat(data.dofs, npatch, axis=1).ravel(),
+                           d.ravel(), mult.ravel(), diag])
+    cols = np.concatenate([np.tile(data.dofs, (1, npatch)).ravel(),
+                           mult.ravel(), d.ravel(), diag])
+    vals = np.concatenate([uu.ravel(), coupling.ravel(), coupling.ravel(),
+                           -w * c_weight])    # multiplier-multiplier: -c_q
+    S = sp.coo_matrix((vals, (rows, cols)), shape=(n_u + n_l, n_u + n_l)).tocsr()
     full = sp.bmat([[A, None], [None, sp.csr_matrix((n_l, n_l))]], format="csr") + S
     rhs = np.concatenate([b, np.zeros(n_l)])
     return MixedSystem(problem=problem, config=config, data=data,

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from nitsche_contact.cli import (
+    build_parser,
     main,
     read_convergence_csv,
     von_mises,
-    worker_count,
     write_convergence_csv,
 )
 from nitsche_contact.adapt import ConvergenceRecord, regression_slope
@@ -142,14 +142,35 @@ class TestConfigFile:
         assert err.value.code == 2
         assert "absent.cfg" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("word", ["false", "No", "0"])
+    def test_switch_false_is_off(self, tmp_path, word):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"svg={word}\n")
+        args = build_parser().parse_args(["--config", str(cfg), "study"])
+        assert args.svg is False
+        cfg.write_text("svg=TRUE\n")
+        args = build_parser().parse_args(["--config", str(cfg), "study"])
+        assert args.svg is True
+
+    def test_switch_false_writes_no_svg(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("svg=false\nmode=uniform\nmax-dofs=600\n")
+        out = tmp_path / "out"
+        assert main(["--config", str(cfg), "study", "--out", str(out)]) == 0
+        assert (out / "convergence.csv").exists()
+        assert not (out / "convergence.svg").exists()
+
+    @pytest.mark.parametrize("line, key", [("svg=maybe", "svg"), ("bogus=1", "bogus")])
+    def test_bad_key_or_switch_value_is_usage_error(self, tmp_path, capsys, line, key):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        with pytest.raises(SystemExit) as err:
+            main(["--config", str(cfg), "study", "--out", str(tmp_path)])
+        assert err.value.code == 2
+        assert repr(key) in capsys.readouterr().err
+
 
 class TestHelpers:
-    def test_worker_count_env(self, monkeypatch):
-        monkeypatch.setenv("NITSCHE_CONTACT_THREADS", "2")
-        assert worker_count() == 2
-        monkeypatch.setenv("NITSCHE_CONTACT_THREADS", "junk")
-        assert worker_count() >= 1
-
     def test_von_mises_uniaxial(self):
         # uniaxial tension: s_zz = nu s, von Mises = s sqrt(1 - nu + nu^2)
         s = np.array([[[2.0, 0.0], [0.0, 0.0]]])

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,6 @@ from nitsche_contact.contact import (
     contact_force,
     detect_active_set,
     energy_norm,
-    interface_coefficients,
     lh_values,
     solve,
     transfer_active,
@@ -36,28 +37,29 @@ def small_problem(experiment="pressing", degree=1, res=((2, 2), (3, 4)), e2=None
 class TestCoefficients:
     def test_weights_sum_to_one(self):
         _, prob = small_problem()
-        co = interface_coefficients(prob.segments, prob.materials, alpha=1e-2)
-        for c in co:
-            assert c.w1 + c.w2 == pytest.approx(1.0, abs=1e-14)
-            assert c.beta > 0 and c.gamma > 0
+        h = SimpleNamespace(h1=np.array([s.h1 for s in prob.segments]),
+                            h2=np.array([s.h2 for s in prob.segments]))
+        w1, w2, beta, gamma, _, _ = _sample_coefficients(h, prob.materials,
+                                                         NitscheConfig(alpha=1e-2))
+        assert np.allclose(w1 + w2, 1.0, rtol=0.0, atol=1e-14)
+        assert np.all(beta > 0) and np.all(gamma > 0)
 
     def test_beta_value(self):
         # equal facet sizes and shear moduli: beta = mu / (2 alpha h)
-        segs = [type("S", (), {"h1": 0.1, "h2": 0.1})()]
-        mats = (MAT, MAT)
-        co = interface_coefficients(segs, mats, alpha=0.01)
-        assert co[0].beta == pytest.approx(192.30769230769232, rel=1e-12)
-        assert co[0].w1 == pytest.approx(0.5)
-        assert co[0].w2 == pytest.approx(0.5)
+        h = SimpleNamespace(h1=np.array([0.1]), h2=np.array([0.1]))
+        w1, w2, beta, *_ = _sample_coefficients(h, (MAT, MAT), NitscheConfig(alpha=0.01))
+        assert beta[0] == pytest.approx(192.30769230769232, rel=1e-12)
+        assert w1[0] == pytest.approx(0.5)
+        assert w2[0] == pytest.approx(0.5)
 
     def test_dissimilar_materials_weighting(self):
         soft = MaterialParams.from_young(0.01, 0.3)
-        segs = [type("S", (), {"h1": 0.2, "h2": 0.4})()]
-        co = interface_coefficients(segs, (MAT, soft), alpha=1e-2)
+        h = SimpleNamespace(h1=np.array([0.2]), h2=np.array([0.4]))
+        w1, *_, slave = _sample_coefficients(h, (MAT, soft), NitscheConfig(alpha=1e-2))
         # w1 = h1 mu2 / (h1 mu2 + h2 mu1)
         expect = 0.2 * soft.mu / (0.2 * soft.mu + 0.4 * MAT.mu)
-        assert co[0].w1 == pytest.approx(expect, rel=1e-14)
-        assert co[0].slave == 2  # softer body is mortared
+        assert w1[0] == pytest.approx(expect, rel=1e-14)
+        assert slave == 2  # softer body is mortared
 
 
 class TestLh:
