@@ -389,6 +389,13 @@ def _parse_resolutions(text: str):
     return ((parts[0], parts[1]), (parts[2], parts[3]))
 
 
+def _sweep_count(text: str) -> int:
+    sweeps = int(text)
+    if sweeps < 0:
+        raise argparse.ArgumentTypeError(f"refinement sweeps must be >= 0, got {sweeps}")
+    return sweeps
+
+
 def _add_common(p):
     p.add_argument("--experiment", choices=EXPERIMENTS, default="pressing")
     p.add_argument("--degree", type=int, choices=(1, 2), default=1)
@@ -425,8 +432,9 @@ class _ConfigFile(argparse.Action):
     of every subcommand, so flags on the command line override them.  The
     subcommand is parsed after this action runs, which converts the string
     values with each flag's type.  A switch (``--svg``) takes
-    true/false/yes/no/1/0; a key that names no flag of any subcommand, or
-    any other switch value, is a usage error."""
+    true/false/yes/no/1/0; a key that names no flag of any subcommand, any
+    other switch value, or a value that the flag's type rejects or that is
+    not among its choices, is a usage error."""
 
     def __init__(self, option_strings, dest, subcommands, **kwargs):
         super().__init__(option_strings, dest, **kwargs)
@@ -452,6 +460,14 @@ class _ConfigFile(argparse.Action):
                                  f" not {raw!r}")
                 overrides[key] = _BOOLEAN_WORDS[raw.lower()]
             else:
+                for flag in flags:
+                    try:
+                        converted = raw if flag.type is None else flag.type(raw)
+                    except (TypeError, ValueError, argparse.ArgumentTypeError) as exc:
+                        parser.error(f"config file {value}: {key!r}: bad value {raw!r} ({exc})")
+                    if flag.choices is not None and converted not in flag.choices:
+                        parser.error(f"config file {value}: {key!r} takes one of"
+                                     f" {', '.join(map(str, flag.choices))}, not {raw!r}")
                 overrides[key] = raw
         for subparser in self.subcommands.values():
             subparser.set_defaults(**overrides)
@@ -469,7 +485,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="single solve with field and pressure export")
     _add_common(p)
-    p.add_argument("--refine", type=int, default=3,
+    p.add_argument("--refine", type=_sweep_count, default=3,
                    help="uniform refinement sweeps before solving")
     p.set_defaults(func=cmd_solve)
 
@@ -491,7 +507,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--experiment", choices=EXPERIMENTS, default="pressing")
     p.add_argument("--resolutions", type=_parse_resolutions,
                    default=DEFAULT_RESOLUTIONS, metavar="NX1,NY1,NX2,NY2")
-    p.add_argument("--refine", type=int, default=0)
+    p.add_argument("--refine", type=_sweep_count, default=0)
     p.add_argument("--out", default="out")
     p.set_defaults(func=cmd_mesh_dump)
     return parser

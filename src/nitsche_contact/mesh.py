@@ -6,6 +6,12 @@ first vertex of every triangle is the *peak* used by newest-vertex
 bisection; the refinement edge is the one opposite to it.  Meshes are
 immutable: refinement and classification return new objects.
 
+Refinement works on the facet table in array form (Funken, Praetorius &
+Wissgott, CMAM 11, 2011; L. Chen, iFEM ``bisect.m``): the marked
+refinement edges are closed to a fixed point, the midpoints are numbered
+in facet order after the input vertices, and each triangle is replaced
+by its 1, 2, 3 or 4 children in place, so children stay grouped by parent.
+
 The contact interface is assumed to lie on a straight line, so the
 intersection of the two boundary traces reduces to merging breakpoints
 of two interval partitions of that line.
@@ -160,7 +166,13 @@ def geometric_tolerance(*meshes: Mesh) -> float:
 
 
 def _build_topology(vertices, triangles):
-    """Facet table from the triangle list; raises on inverted triangles."""
+    """Facet table from the triangle list; raises on inverted triangles.
+
+    Facets are the sorted vertex pairs in lexicographic order, found by one
+    1-D ``np.unique`` on the key ``a * nv + b``.  ``facet_triangles`` lists
+    the adjacent triangles in the order their edges appear in the stacked
+    edge array (edge k of every triangle, for k = 0, 1, 2).
+    """
     t = triangles
     d1 = vertices[t[:, 1]] - vertices[t[:, 0]]
     d2 = vertices[t[:, 2]] - vertices[t[:, 0]]
@@ -174,20 +186,20 @@ def _build_topology(vertices, triangles):
         [t[:, [1, 2]], t[:, [2, 0]], t[:, [0, 1]]], axis=0
     )
     edges = np.sort(edges, axis=1)
-    facets, inverse = np.unique(edges, axis=0, return_inverse=True)
-    nt = t.shape[0]
-    triangle_facets = inverse.reshape(3, nt).T
-
-    counts = np.bincount(inverse, minlength=facets.shape[0])
+    key = edges[:, 0] * vertices.shape[0] + edges[:, 1]
+    _, first, inverse, counts = np.unique(
+        key, return_index=True, return_inverse=True, return_counts=True
+    )
     if counts.max() > 2:
         raise GeometryError("facet shared by more than two triangles")
+    nt = t.shape[0]
+    facets = edges[first]
+    triangle_facets = inverse.reshape(3, nt).T
+
     facet_triangles = np.full((facets.shape[0], 2), -1, dtype=int)
-    order = np.argsort(inverse, kind="stable")
-    owner = np.tile(np.arange(nt), 3)[order]
-    slot = np.zeros(facets.shape[0], dtype=int)
-    for f, tri in zip(inverse[order], owner):
-        facet_triangles[f, slot[f]] = tri
-        slot[f] += 1
+    facet_triangles[:, 0] = first % nt
+    second = np.flatnonzero(first[inverse] != np.arange(3 * nt))
+    facet_triangles[inverse[second], 1] = second % nt
     return facets, facet_triangles, triangle_facets
 
 
@@ -393,96 +405,77 @@ def build_interface(mesh1: Mesh, mesh2: Mesh) -> list:
 def bisect_refine(mesh: Mesh, marked) -> Mesh:
     """Newest-vertex bisection of the marked triangles plus closure.
 
-    Every marked triangle is bisected at least once; neighbours are
-    bisected as needed so the result is conforming.  Vertices of the
-    input mesh keep their positions and indices.  ``parents`` on the
-    result maps each triangle to its ancestor in the input mesh.
+    ``marked`` is a 1-D sequence (or iterable) of triangle ids.  The
+    refinement facet of every marked triangle is marked, and the marking
+    is closed: while a triangle has a marked facet but an unmarked
+    refinement facet, its refinement facet is marked too.  Each triangle
+    whose refinement facet is marked is then bisected, and each child is
+    bisected once more if its own refinement facet (an edge of the
+    parent) is marked, so a triangle yields 1, 2, 3 or 4 children.
+
+    Vertices of the input mesh keep their positions and indices; the
+    midpoints of the marked facets follow as ``nv, nv + 1, ...`` in facet
+    order.  The children of each input triangle are contiguous and in the
+    order of their parents, and ``parents`` on the result maps each
+    triangle to its input triangle.
     """
-    marked = np.atleast_1d(np.asarray(list(marked), dtype=int))
+    if not isinstance(marked, np.ndarray):
+        marked = list(marked)
+    marked = np.asarray(marked)
+    if marked.ndim != 1 or marked.dtype == bool:
+        raise ValueError("marked must be a 1-D sequence of triangle ids, not a mask")
     if marked.size == 0:
         return mesh
+    if not np.issubdtype(marked.dtype, np.integer):
+        if not np.issubdtype(marked.dtype, np.floating) or np.any(marked != np.round(marked)):
+            raise ValueError("marked set contains non-integral triangle ids")
     if marked.min() < 0 or marked.max() >= mesh.num_triangles:
         raise ValueError("marked set contains invalid triangle ids")
 
-    verts = [tuple(v) for v in mesh.vertices]
-    tris = [tuple(t) for t in mesh.triangles]
-    alive = [True] * len(tris)
-    ancestor = list(range(len(tris)))
+    tf = mesh.triangle_facets
+    refine = np.zeros(mesh.num_facets, dtype=bool)
+    refine[tf[marked.astype(int), 0]] = True
+    while True:
+        # each pass marks at least one new facet, so the loop ends
+        pending = refine[tf].any(axis=1) & ~refine[tf[:, 0]]
+        if not pending.any():
+            break
+        refine[tf[pending, 0]] = True
 
-    edge_tris: dict = {}
+    nv = mesh.num_vertices
+    new = np.flatnonzero(refine)
+    midpoint = np.full(mesh.num_facets, -1)
+    midpoint[new] = nv + np.arange(new.size)
+    f = mesh.facets[new]
+    vertices = np.concatenate(
+        [mesh.vertices, 0.5 * (mesh.vertices[f[:, 0]] + mesh.vertices[f[:, 1]])]
+    )
 
-    def edge_key(a, b):
-        return (a, b) if a < b else (b, a)
+    v0, v1, v2 = mesh.triangles.T
+    m, m1, m2 = midpoint[tf].T
+    split = m >= 0
+    split1 = m2 >= 0  # first child (m, v0, v1) across v0v1
+    split2 = m1 >= 0  # second child (m, v2, v0) across v2v0
 
-    def tri_edges(t):
-        v0, v1, v2 = tris[t]
-        return (edge_key(v1, v2), edge_key(v2, v0), edge_key(v0, v1))
-
-    for t in range(len(tris)):
-        for e in tri_edges(t):
-            edge_tris.setdefault(e, set()).add(t)
-
-    midpoint: dict = {}
-
-    def refinement_edge(t):
-        _, v1, v2 = tris[t]
-        return edge_key(v1, v2)
-
-    def neighbor_across(t, e):
-        for other in edge_tris[e]:
-            if other != t and alive[other]:
-                return other
-        return None
-
-    def split(t, m):
-        v0, v1, v2 = tris[t]
-        alive[t] = False
-        for e in tri_edges(t):
-            edge_tris[e].discard(t)
-        for child in ((m, v0, v1), (m, v2, v0)):
-            tris.append(child)
-            alive.append(True)
-            ancestor.append(ancestor[t])
-            tc = len(tris) - 1
-            for e in tri_edges(tc):
-                edge_tris.setdefault(e, set()).add(tc)
-
-    work = [int(t) for t in marked]
-    budget = 0
-    while work:
-        budget += 1
-        if budget > 100 * (len(mesh.triangles) + marked.size) + 10000:
-            raise RuntimeError("refinement closure did not terminate")
-        t = work[-1]
-        if not alive[t]:
-            work.pop()
-            continue
-        e = refinement_edge(t)
-        nb = neighbor_across(t, e)
-        if nb is not None and refinement_edge(nb) != e:
-            work.append(nb)
-            continue
-        work.pop()
-        if e not in midpoint:
-            a, b = e
-            verts.append(tuple(0.5 * (np.asarray(verts[a]) + np.asarray(verts[b]))))
-            midpoint[e] = len(verts) - 1
-        m = midpoint[e]
-        split(t, m)
-        if nb is not None:
-            split(nb, m)
-
-    new_vertices = np.array(verts)
-    keep = [i for i in range(len(tris)) if alive[i]]
-    new_triangles = np.array([tris[i] for i in keep], dtype=int)
-    parents = np.array([ancestor[i] for i in keep], dtype=int)
+    first = np.where(split1[:, None], np.column_stack((m2, m, v0)),
+                     np.column_stack((m, v0, v1)))
+    first = np.where(split[:, None], first, mesh.triangles)
+    second = np.where(split2[:, None], np.column_stack((m1, m, v2)),
+                      np.column_stack((m, v2, v0)))
+    children = np.stack([first, np.column_stack((m2, v1, m)), second,
+                         np.column_stack((m1, v0, m))], axis=1)
+    keep = np.column_stack([np.ones_like(split), split1, split, split2])
+    triangles = children[keep]
+    parents = np.repeat(np.arange(mesh.num_triangles), keep.sum(axis=1))
     return _make_mesh(
-        new_vertices, new_triangles, mesh.body_id, mesh.bbox,
+        vertices, triangles, mesh.body_id, mesh.bbox,
         spec=mesh.boundary_spec, parents=parents,
     )
 
 
 def uniform_refine(mesh: Mesh, sweeps: int = 1) -> Mesh:
+    if sweeps < 0:
+        raise ValueError(f"the number of refinement sweeps must be >= 0, got {sweeps}")
     for _ in range(sweeps):
         mesh = bisect_refine(mesh, np.arange(mesh.num_triangles))
     return mesh

@@ -108,6 +108,16 @@ class TestMeshDump:
         assert m1.num_triangles == 16 and m2.num_triangles == 48
 
 
+class TestRefineFlag:
+    @pytest.mark.parametrize("command", ["solve", "mesh-dump"])
+    def test_negative_refine_is_usage_error(self, tmp_path, capsys, command):
+        with pytest.raises(SystemExit) as err:
+            main([command, "--refine", "-1", "--out", str(tmp_path)])
+        assert err.value.code == 2
+        assert "--refine" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+
 class TestConfigFile:
     def test_flags_override_file(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -159,6 +169,22 @@ class TestConfigFile:
         assert main(["--config", str(cfg), "study", "--out", str(out)]) == 0
         assert (out / "convergence.csv").exists()
         assert not (out / "convergence.svg").exists()
+
+    @pytest.mark.parametrize("line, key", [
+        ("degree=3", "degree"),
+        ("experiment=bogus", "experiment"),
+        ("mode=both", "mode"),
+        ("refine=-1", "refine"),
+        ("degree=two", "degree"),
+    ])
+    def test_value_outside_choices_or_type_is_usage_error(self, tmp_path, capsys, line, key):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        with pytest.raises(SystemExit) as err:
+            main(["--config", str(cfg), "solve", "--out", str(tmp_path / "out")])
+        assert err.value.code == 2
+        assert repr(key) in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("line, key", [("svg=maybe", "svg"), ("bogus=1", "bogus")])
     def test_bad_key_or_switch_value_is_usage_error(self, tmp_path, capsys, line, key):

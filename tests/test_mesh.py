@@ -9,6 +9,7 @@ from nitsche_contact.mesh import (
     BoundarySpec,
     ClassificationError,
     GeometryError,
+    _build_topology,
     audit_conformity,
     audit_interface,
     bisect_refine,
@@ -228,6 +229,36 @@ class TestRefine:
             r = bisect_refine(r, marked)
         assert r.min_angle() >= 0.45 * a0
 
+    def test_out_of_range_ids_raise(self):
+        m = body1_mesh()
+        for bad in (-1, m.num_triangles):
+            with pytest.raises(ValueError, match="invalid triangle ids"):
+                bisect_refine(m, [0, bad])
+
+    @pytest.mark.parametrize("marked", [
+        np.arange(8) == 7,          # a boolean mask, not ids
+        [1.7],                      # not integral
+        [[0, 1]],                   # not 1-D
+        np.array(["1"]),            # not numeric
+        [np.nan],
+    ])
+    def test_marks_that_are_not_ids_raise(self, marked):
+        m = body1_mesh()
+        assert m.num_triangles == 8
+        with pytest.raises(ValueError):
+            bisect_refine(m, marked)
+
+    def test_integral_float_ids_mark_like_ints(self):
+        m = body1_mesh()
+        assert np.array_equal(bisect_refine(m, [1.0, 6.0]).triangles,
+                              bisect_refine(m, [1, 6]).triangles)
+
+    def test_uniform_refine_sweeps(self):
+        m = body1_mesh()
+        assert uniform_refine(m, 0) is m
+        with pytest.raises(ValueError, match="sweeps"):
+            uniform_refine(m, -1)
+
     def test_classification_survives(self):
         # two sweeps halve h: boundary facets split once (sweep 1 cuts diagonals)
         m = body1_mesh()
@@ -243,6 +274,27 @@ class TestRefine:
         audit_interface(segs, m1r, m2)
         total = sum(s.length for s in segs)
         assert total == pytest.approx(0.5, rel=1e-12)
+
+
+class TestTopology:
+    def test_inverted_triangle_raises(self):
+        vertices = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+        with pytest.raises(GeometryError, match="non-positive area"):
+            _build_topology(vertices, np.array([[0, 1, 2], [1, 2, 3]]))  # 1-2-3 is clockwise
+
+    def test_facet_shared_by_three_triangles_raises(self):
+        vertices = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 1.0], [0.5, 2.0], [0.5, 3.0]])
+        with pytest.raises(GeometryError, match="more than two"):
+            _build_topology(vertices, np.array([[0, 1, 2], [0, 1, 3], [0, 1, 4]]))
+
+    def test_facet_table(self):
+        # unit square split along 0-2; edge k of a triangle is opposite vertex k
+        vertices = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+        facets, facet_triangles, triangle_facets = _build_topology(
+            vertices, np.array([[1, 2, 0], [3, 0, 2]]))
+        assert facets.tolist() == [[0, 1], [0, 2], [0, 3], [1, 2], [2, 3]]
+        assert facet_triangles.tolist() == [[0, -1], [0, 1], [1, -1], [0, -1], [1, -1]]
+        assert triangle_facets.tolist() == [[1, 0, 3], [1, 4, 2]]
 
 
 class TestDump:
