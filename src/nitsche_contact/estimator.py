@@ -236,56 +236,52 @@ def oscillation(space: FeSpace, f: Optional[Callable], quad_degree: int = 6) -> 
     pts, w = triangle_rule(quad_degree)
     phi = shape_values(space.degree, pts)  # (nq, nl)
     Mref = np.einsum("q,ql,qm->lm", w, phi, phi)
-    Minv = np.linalg.inv(Mref)
+    # values of f_h at the quadrature points are proj @ (values of f);
+    # det cancels against M_K^{-1}
+    proj = phi @ np.linalg.inv(Mref) @ (w[:, None] * phi).T  # (nq, nq)
     xq = space.global_points(pts)
     fv = np.asarray(f(xq.reshape(-1, 2)), dtype=float).reshape(xq.shape)  # (nt, nq, 2)
-    rhs = np.einsum("q,tqc,ql->tlc", w, fv, phi)  # det cancels against M_K^{-1}
-    coef = np.einsum("lm,tmc->tlc", Minv, rhs)
-    fh = np.einsum("ql,tlc->tqc", phi, coef)
-    diff = fv - fh
+    fq = fv.transpose(1, 0, 2).reshape(len(w), -1)  # (nq, 2 nt)
+    diff = fq - proj @ fq
     _, _, det = space.geometry()
-    err2 = np.einsum("q,tqc,tqc,t->t", w, diff, diff, det)
+    err2 = (w @ (diff * diff)).reshape(nt, 2).sum(axis=1) * det
     hK = space.mesh.triangle_diameters()
     return hK * np.sqrt(np.maximum(err2, 0.0))
 
 
-def _segment_param_on_facet(mesh, facet, pts):
-    a = mesh.vertices[mesh.facets[facet, 0]]
-    b = mesh.vertices[mesh.facets[facet, 1]]
-    e = b - a
-    return ((pts - a) @ e) / (e @ e)
-
-
-def _lambda_on_points(result: SolveResult, seg_idx: int, ts: np.ndarray) -> np.ndarray:
-    """Evaluate the segmentwise polynomial pressure at parameters ``ts``
-    of segment ``seg_idx`` (Lagrange interpolation through its samples)."""
-    xi, _ = result.data.gauss
-    nq = result.data.n_per_seg
-    samples = result.lam[seg_idx * nq:(seg_idx + 1) * nq]
-    vals = np.zeros_like(ts)
-    for k in range(nq):
-        lk = np.ones_like(ts)
-        for m in range(nq):
+def _lagrange_matrix(nodes: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    """Lagrange basis through ``nodes`` at the parameters ``ts``: (len(ts), len(nodes))."""
+    out = np.ones((len(ts), len(nodes)))
+    for k in range(len(nodes)):
+        for m in range(len(nodes)):
             if m != k:
-                lk *= (ts - xi[m]) / (xi[k] - xi[m])
-        vals += samples[k] * lk
-    return vals
+                out[:, k] *= (ts - nodes[m]) / (nodes[k] - nodes[m])
+    return out
 
 
-def _jump_at(problem, u, seg, pts):
-    """Normal-displacement jump -(u1.n1 + u2.n2) at interface points."""
-    jump = np.zeros(pts.shape[0])
-    for body, parent in ((1, seg.parent1), (2, seg.parent2)):
+def _normal_jump(problem, u, parents, normal, pts):
+    """Normal-displacement jump -(u1.n1 + u2.n2) at interface points.
+
+    ``pts`` is (nseg, nq, 2); segment ``s`` lies on facet ``parents[0][s]``
+    of body 1 and on facet ``parents[1][s]`` of body 2, and ``normal[s]``
+    points out of body 1.
+    """
+    nseg, nq, _ = pts.shape
+    jump = np.zeros((nseg, nq))
+    for body, parent in ((1, parents[0]), (2, parents[1])):
         space = problem.spaces[body - 1]
         mesh = space.mesh
-        tri = int(mesh.facet_triangles[parent, 0])
-        ref = space.ref_coords(tri, pts)
-        phi = shape_values(space.degree, ref)
+        tri = mesh.facet_triangles[parent, 0]
+        p = mesh.vertices[mesh.triangles[tri]]                      # (nseg, 3, 2)
+        A = np.stack([p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]], axis=-1)
+        ref = np.linalg.solve(A, (pts - p[:, None, 0]).transpose(0, 2, 1)).transpose(0, 2, 1)
+        phi = shape_values(space.degree, ref.reshape(-1, 2)).reshape(nseg, nq, -1)
         nodes = space.cell_nodes[tri]
         off = problem.offset(body)
-        n_body = seg.normal if body == 1 else -seg.normal
-        un = (phi @ u[off + 2 * nodes]) * n_body[0] + (phi @ u[off + 2 * nodes + 1]) * n_body[1]
-        jump -= un
+        n_body = normal if body == 1 else -normal
+        ux = np.einsum("sql,sl->sq", phi, u[off + 2 * nodes])
+        uy = np.einsum("sql,sl->sq", phi, u[off + 2 * nodes + 1])
+        jump -= ux * n_body[:, None, 0] + uy * n_body[:, None, 1]
     return jump
 
 
@@ -298,7 +294,9 @@ def contact_facet_estimator(result: SolveResult, n_gauss: Optional[int] = None):
     softer body, and the inverse-penalty variant integrates the weighted
     mean residual per segment (split half/half between the parent
     facets).  Tangential-traction and penetration terms are always
-    charged to both bodies.
+    charged to both bodies.  All segments are evaluated at once; a
+    facet that parents several segments collects their terms in segment
+    order.
     """
     problem = result.problem
     data = result.data
@@ -319,54 +317,67 @@ def contact_facet_estimator(result: SolveResult, n_gauss: Optional[int] = None):
     default = n_gauss is None or n_gauss == data.n_per_seg
     xi, wg = data.gauss if default else gauss1d(n_gauss)
 
-    S2 = 0.0
-    for s, seg in enumerate(data.segments):
-        pts = seg.p0[None, :] + xi[:, None] * (seg.p1 - seg.p0)[None, :]
-        wq = wg * seg.length
-        if default:
-            sl = slice(s * data.n_per_seg, (s + 1) * data.n_per_seg)
-            lam = result.lam[sl]
+    segs = data.segments
+    nseg = len(segs)
+    if nseg == 0:
+        return out, 0.0
+    p0 = np.array([s.p0 for s in segs], dtype=float)
+    p1 = np.array([s.p1 for s in segs], dtype=float)
+    normal = np.array([s.normal for s in segs], dtype=float)
+    parents = (np.array([s.parent1 for s in segs], dtype=int),
+               np.array([s.parent2 for s in segs], dtype=int))
+    h = (np.array([s.h1 for s in segs], dtype=float),
+         np.array([s.h2 for s in segs], dtype=float))
+
+    pts = p0[:, None, :] + xi[None, :, None] * (p1 - p0)[:, None, :]   # (nseg, nq, 2)
+    wq = wg[None, :] * np.hypot(*(p1 - p0).T)[:, None]
+    lam = result.lam.reshape(nseg, data.n_per_seg)
+    if not default:
+        # the segmentwise polynomial pressure through its samples
+        lam = lam @ _lagrange_matrix(data.gauss[0], xi).T
+    jump = _normal_jump(problem, result.u, parents, normal, pts)
+    denom = h[0] * mu2 + h[1] * mu1
+    w1 = (h[0] * mu2 / denom)[:, None]
+    w2 = (h[1] * mu1 / denom)[:, None]
+    beta = mu1 * mu2 / (config.alpha * denom)
+
+    snn = [None, None]
+    tang = [None, None]
+    for i in range(2):
+        mesh = problem.spaces[i].mesh
+        n_body = normal if i == 0 else -normal
+        ends = mesh.facets[parents[i]]                                # (nseg, 2)
+        a = mesh.vertices[ends[:, 0]]
+        e = mesh.vertices[ends[:, 1]] - a
+        tau = np.einsum("sqd,sd->sq", pts - a[:, None, :], e) / (e * e).sum(axis=1)[:, None]
+        tri = mesh.facet_triangles[parents[i], 0]
+        tv = mesh.triangles[tri]
+        la = (tv == ends[:, :1]).argmax(axis=1)
+        lb = (tv == ends[:, 1:]).argmax(axis=1)
+        sig_pts = (
+            sig_v[i][tri, la][:, None] * (1 - tau)[..., None, None]
+            + sig_v[i][tri, lb][:, None] * tau[..., None, None]
+        )                                                             # (nseg, nq, 2, 2)
+        trac = np.einsum("sqab,sb->sqa", sig_pts, n_body)
+        snn[i] = np.einsum("sqa,sa->sq", trac, n_body)
+        tang[i] = trac - snn[i][..., None] * n_body[:, None, :]
+
+    S2 = float((wq * np.maximum(jump, 0.0) * lam).sum())
+
+    for i in range(2):
+        mu = mats[i].mu
+        hE = h[i]
+        term = (hE / mu) * (wq * (tang[i] * tang[i]).sum(axis=2)).sum(axis=1)
+        term += (mu / hE) * (wq * np.maximum(-jump, 0.0) ** 2).sum(axis=1)
+        if config.variant == WEIGHTED:
+            term += (hE / mu) * (wq * (lam + snn[i]) ** 2).sum(axis=1)
+        elif config.variant == MASTER_SLAVE:
+            if i + 1 == slave:
+                term += (hE / mu) * (wq * (lam + snn[i]) ** 2).sum(axis=1)
         else:
-            lam = _lambda_on_points(result, s, xi)
-        jump = _jump_at(problem, result.u, seg, pts)
-        denom = seg.h1 * mu2 + seg.h2 * mu1
-        w1 = seg.h1 * mu2 / denom
-        w2 = seg.h2 * mu1 / denom
-        beta = mu1 * mu2 / (config.alpha * denom)
-
-        snn = [None, None]
-        tang = [None, None]
-        for i, parent in ((0, seg.parent1), (1, seg.parent2)):
-            mesh = problem.spaces[i].mesh
-            n_body = seg.normal if i == 0 else -seg.normal
-            tau = _segment_param_on_facet(mesh, parent, pts)
-            tri = int(mesh.facet_triangles[parent, 0])
-            tv = mesh.triangles[tri]
-            la = int((tv == mesh.facets[parent, 0]).argmax())
-            lb = int((tv == mesh.facets[parent, 1]).argmax())
-            sig_pts = (
-                sig_v[i][tri, la][None, :, :] * (1 - tau)[:, None, None]
-                + sig_v[i][tri, lb][None, :, :] * tau[:, None, None]
-            )
-            trac = np.einsum("qab,b->qa", sig_pts, n_body)
-            snn[i] = np.einsum("qa,a->q", trac, n_body)
-            tang[i] = trac - snn[i][:, None] * n_body[None, :]
-
-        S2 += float((wq * np.maximum(jump, 0.0) * lam).sum())
-
-        for i, parent, hE in ((0, seg.parent1, seg.h1), (1, seg.parent2, seg.h2)):
-            mu = mats[i].mu
-            term = (hE / mu) * float((wq * (tang[i] * tang[i]).sum(axis=1)).sum())
-            term += (mu / hE) * float((wq * np.maximum(-jump, 0.0) ** 2).sum())
-            if config.variant == WEIGHTED:
-                term += (hE / mu) * float((wq * (lam + snn[i]) ** 2).sum())
-            elif config.variant == MASTER_SLAVE:
-                if i + 1 == slave:
-                    term += (hE / mu) * float((wq * (lam + snn[i]) ** 2).sum())
-            else:
-                mean = w1 * snn[0] + w2 * snn[1]
-                term += 0.5 * float((wq * (lam + mean) ** 2).sum()) / beta
-            out[i][parent] += term
+            mean = w1 * snn[0] + w2 * snn[1]
+            term += 0.5 * (wq * (lam + mean) ** 2).sum(axis=1) / beta
+        np.add.at(out[i], parents[i], term)
     return out, S2
 
 

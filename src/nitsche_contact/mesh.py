@@ -309,27 +309,27 @@ class InterfaceSegment:
 
 
 def _facet_intervals(mesh, facet_ids, origin, direction, tol):
-    """Map contact facets to parameter intervals along the interface line."""
-    out = []
-    for f in facet_ids:
-        a = mesh.vertices[mesh.facets[f, 0]]
-        b = mesh.vertices[mesh.facets[f, 1]]
-        for p in (a, b):
-            off = (p - origin) - ((p - origin) @ direction) * direction
-            if np.hypot(*off) > tol:
-                raise GeometryError(
-                    f"contact facet {f} of body {mesh.body_id} is not on the interface line"
-                )
-        ta = float((a - origin) @ direction)
-        tb = float((b - origin) @ direction)
-        out.append((min(ta, tb), max(ta, tb), int(f)))
-    out.sort()
-    for (a0, b0, _), (a1, _, _) in zip(out, out[1:]):
-        if a1 < b0 - tol:
+    """Map contact facets to parameter intervals ``[t0, t1]`` along the
+    interface line: the arrays ``(t0, t1, facet)``, sorted by ``(t0, t1, facet)``."""
+    facet_ids = np.asarray(facet_ids, dtype=int)
+    ends = mesh.vertices[mesh.facets[facet_ids]] - origin          # (n, 2, 2)
+    t = ends @ direction                                            # (n, 2)
+    off = ends - t[..., None] * direction
+    off_line = np.flatnonzero((np.hypot(off[..., 0], off[..., 1]) > tol).any(axis=1))
+    if len(off_line):
+        raise GeometryError(
+            f"contact facet {facet_ids[off_line[0]]} of body {mesh.body_id}"
+            " is not on the interface line"
+        )
+    t0, t1 = t.min(axis=1), t.max(axis=1)
+    order = np.lexsort((facet_ids, t1, t0))
+    t0, t1, facet_ids = t0[order], t1[order], facet_ids[order]
+    bad = np.flatnonzero((t0[1:] < t1[:-1] - tol) | (t0[1:] > t1[:-1] + tol))
+    if len(bad):
+        if t0[bad[0] + 1] < t1[bad[0]] - tol:
             raise GeometryError(f"overlapping contact facets on body {mesh.body_id}")
-        if a1 > b0 + tol:
-            raise GeometryError(f"gap in the contact trace of body {mesh.body_id}")
-    return out
+        raise GeometryError(f"gap in the contact trace of body {mesh.body_id}")
+    return t0, t1, facet_ids
 
 
 def _outward_normal(mesh, facet, direction):
@@ -341,6 +341,19 @@ def _outward_normal(mesh, facet, direction):
     if n @ (mesh.vertices[opposite] - 0.5 * (a + b)) > 0:
         n = -n
     return n
+
+
+def _parent_facets(intervals, t, tol):
+    """Facet and length of the first interval ``[t0 - tol, t1 + tol]`` holding
+    each parameter in ``t``.  The intervals are sorted by ``t0``, so the first
+    one whose ``t1 + tol`` reaches a parameter is its only candidate.
+    """
+    t0, t1, facet = intervals
+    k = np.searchsorted(np.maximum.accumulate(t1 + tol), t).clip(max=len(t0) - 1)
+    bad = np.flatnonzero((t0[k] - tol > t) | (t1[k] + tol < t))
+    if len(bad):
+        raise GeometryError(f"interface point {t[bad[0]]} not covered by a contact facet")
+    return facet[k], t1[k] - t0[k]
 
 
 def build_interface(mesh1: Mesh, mesh2: Mesh) -> list:
@@ -364,42 +377,25 @@ def build_interface(mesh1: Mesh, mesh2: Mesh) -> list:
     iv1 = _facet_intervals(mesh1, g1, origin, direction, tol)
     iv2 = _facet_intervals(mesh2, g2, origin, direction, tol)
     lo = max(iv1[0][0], iv2[0][0])
-    hi = min(iv1[-1][1], iv2[-1][1])
+    hi = min(iv1[1][-1], iv2[1][-1])
     if hi - lo <= tol:
         raise GeometryError("the contact traces of the two bodies do not overlap")
 
     normal = _outward_normal(mesh1, int(g1[0]), direction)
-    cuts = np.array(sorted(
-        [lo, hi] + [t for iv in iv1 + iv2 for t in iv[:2] if lo + tol < t < hi - tol]
-    ))
+    ends = np.concatenate([iv1[0], iv1[1], iv2[0], iv2[1]])
+    cuts = np.sort(np.concatenate([[lo, hi], ends[(lo + tol < ends) & (ends < hi - tol)]]))
     keep = np.concatenate([[True], np.diff(cuts) > tol])
     cuts = cuts[keep]
 
-    def find_parent(intervals, tmid):
-        for (t0, t1, f) in intervals:
-            if t0 - tol <= tmid <= t1 + tol:
-                return f, t1 - t0
-        raise GeometryError(f"interface point {tmid} not covered by a contact facet")
-
-    segments = []
-    for t0, t1 in zip(cuts[:-1], cuts[1:]):
-        if t1 - t0 <= tol:
-            continue
-        tmid = 0.5 * (t0 + t1)
-        f1, h1 = find_parent(iv1, tmid)
-        f2, h2 = find_parent(iv2, tmid)
-        segments.append(
-            InterfaceSegment(
-                p0=origin + t0 * direction,
-                p1=origin + t1 * direction,
-                parent1=f1,
-                parent2=f2,
-                h1=float(h1),
-                h2=float(h2),
-                normal=normal,
-            )
-        )
-    return segments
+    long = np.diff(cuts) > tol
+    t0, t1 = cuts[:-1][long], cuts[1:][long]
+    f1, h1 = _parent_facets(iv1, 0.5 * (t0 + t1), tol)
+    f2, h2 = _parent_facets(iv2, 0.5 * (t0 + t1), tol)
+    p0 = origin + t0[:, None] * direction
+    p1 = origin + t1[:, None] * direction
+    return [InterfaceSegment(p0=p0[s], p1=p1[s], parent1=int(f1[s]), parent2=int(f2[s]),
+                             h1=float(h1[s]), h2=float(h2[s]), normal=normal)
+            for s in range(len(t0))]
 
 
 def bisect_refine(mesh: Mesh, marked) -> Mesh:
