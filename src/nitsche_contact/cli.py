@@ -396,13 +396,20 @@ def _sweep_count(text: str) -> int:
     return sweeps
 
 
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not (np.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text}")
+    return value
+
+
 def _add_common(p):
     p.add_argument("--experiment", choices=EXPERIMENTS, default="pressing")
     p.add_argument("--degree", type=int, choices=(1, 2), default=1)
     p.add_argument("--variant", choices=VARIANTS, default=JUNTUNEN)
-    p.add_argument("--alpha", type=float, default=None,
+    p.add_argument("--alpha", type=_positive_float, default=None,
                    help="stabilisation parameter (default 1e-2 for degree 1, 1e-3 for degree 2)")
-    p.add_argument("--e2", type=float, default=None,
+    p.add_argument("--e2", type=_positive_float, default=None,
                    help="Young's modulus override for body 2")
     p.add_argument("--resolutions", type=_parse_resolutions,
                    default=DEFAULT_RESOLUTIONS, metavar="NX1,NY1,NX2,NY2")

@@ -10,6 +10,13 @@ tractions are combined on the interface:
 * ``juntunen`` - the weighted average with the stabilisation expressed
   through the inverse penalty weight.
 
+``mortar`` is the one place that tells the variants apart: it returns a
+``Mortar`` record of per-sample weights (the combined traction, the
+penalty, the stabilisation pairs, the traction-jump weight and the
+estimator's pressure-consistency terms) that the Nitsche assembly, the
+multiplier expression, the mixed oracle and the contact-facet estimator
+all read.
+
 The contact region is tracked pointwise at the interface quadrature
 points and resolved by a fixed-point iteration on the active set.  The
 iteration starts from the fully active indicator, or, when the problem
@@ -23,10 +30,11 @@ an exact parametrisation of the segmentwise polynomial multiplier.
 
 from __future__ import annotations
 
+import numbers
 import warnings
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -77,8 +85,13 @@ class NitscheConfig:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}; choose from {VARIANTS}")
-        if self.alpha <= 0:
-            raise ValueError("stabilisation parameter alpha must be positive")
+        if not (np.isfinite(self.alpha) and self.alpha > 0):
+            raise ValueError(f"stabilisation parameter alpha must be positive and finite,"
+                             f" got {self.alpha}")
+        if (not isinstance(self.max_iterations, numbers.Integral)
+                or isinstance(self.max_iterations, bool) or self.max_iterations < 1):
+            raise ValueError(f"max_iterations must be a positive integer,"
+                             f" got {self.max_iterations!r}")
 
 
 # names of the per-problem caches (cached properties of ContactProblem)
@@ -223,6 +236,16 @@ class InterfaceData:
         per_seg = rows.reshape(nseg, self.n_per_seg, npatch)
         return np.einsum("sqp,sp->sq", per_seg, u[self.dofs]).ravel()
 
+    def outer_sums(self, terms) -> np.ndarray:
+        """Per-segment sums over the samples of ``c * left^T right`` for
+        ``(c (ns,), left (ns, npatch), right (ns, npatch))`` terms, as
+        (nseg, npatch * npatch) blocks over the segment's patch dofs."""
+        nseg, npatch = self.dofs.shape
+        shape = (nseg, self.n_per_seg * len(terms), npatch)
+        left = np.concatenate([c[:, None] * a for c, a, _ in terms], axis=1).reshape(shape)
+        right = np.concatenate([b for _, _, b in terms], axis=1).reshape(shape)
+        return (left.transpose(0, 2, 1) @ right).reshape(nseg, npatch * npatch)
+
 
 def build_interface_data(problem: ContactProblem) -> InterfaceData:
     """Interface samples with ``degree + 1`` Gauss points per segment.
@@ -285,31 +308,81 @@ def _interface_data(problem: ContactProblem) -> InterfaceData:
     )
 
 
-def _sample_coefficients(data: InterfaceData, materials, config: NitscheConfig):
-    """Per-sample mortaring weights (w1, w2, beta, gamma, vi weight c)."""
+class Mortar(NamedTuple):
+    """One Nitsche variant, per interface sample.
+
+    A traction-weight pair ``(a1, a2)`` stands for ``a1 T1 + a2 T2``, the
+    two bodies' normal tractions combined; a weight is a scalar or a
+    per-sample array.  On the active samples the variant's bilinear form
+    is ``penalty J J + M J + J M - gamma D D`` with ``D = T2 - T1``; the
+    stabilisation ``-sum c_k R_k R_k`` acts on the inactive samples and
+    on the multiplier of the mixed form, whose elimination gives back
+    ``M = sum c_k R_k / c_q``, ``penalty = 1 / c_q`` and ``gamma``.
+    """
+
+    traction: tuple       # weights of the combined traction M
+    penalty: np.ndarray   # weight of the jump-jump term
+    gamma: Optional[np.ndarray]  # weight of the traction-jump term, None if absent
+    stab: tuple           # (coefficient c_k, traction weights of R_k) pairs
+    c_q: np.ndarray       # sum of the c_k: the multiplier's own weight
+    # estimator pressure-consistency terms, weight * (lambda + traction)^2
+    # charged to a body: (body, weight, traction weights)
+    consistency: tuple
+
+
+def mortar(data, materials, config: NitscheConfig) -> Mortar:
+    """The chosen variant's weights at the samples of ``data`` (which
+    needs the parent facet sizes ``h1``, ``h2``).
+
+    The combined traction, the penalty and gamma are the closed forms of
+    the eliminated mixed form, not sums over the stabilisation pairs, so
+    the mixed oracle (which uses only the pairs) checks the elimination.
+    """
     mu1, mu2 = materials[0].mu, materials[1].mu
-    denom = data.h1 * mu2 + data.h2 * mu1
-    w1 = data.h1 * mu2 / denom
-    w2 = data.h2 * mu1 / denom
-    beta = mu1 * mu2 / (config.alpha * denom)
-    gamma = config.alpha * data.h1 * data.h2 / denom
-    slave = 2 if mu1 >= mu2 else 1
-    hs = data.h2 if slave == 2 else data.h1
-    mus = mu2 if slave == 2 else mu1
-    beta_ms = mus / (config.alpha * hs)
-    return w1, w2, beta, gamma, beta_ms, slave
+    alpha = config.alpha
+    h1, h2 = data.h1, data.h2
+    if config.variant == MASTER_SLAVE:
+        # the softer body's traction alone; a tie mortars body 2
+        body, hs, mus = (2, h2, mu2) if mu1 >= mu2 else (1, h1, mu1)
+        side = (0.0, 1.0) if body == 2 else (1.0, 0.0)
+        c = alpha * hs / mus
+        return Mortar(traction=side, penalty=mus / (alpha * hs), gamma=None,
+                      stab=((c, side),), c_q=c, consistency=((body, hs / mus, side),))
+    s1, s2 = h1 * mu2, h2 * mu1
+    denom = s1 + s2
+    mean = (s1 / denom, s2 / denom)
+    beta = mu1 * mu2 / (alpha * denom)
+    if config.variant == WEIGHTED:
+        r1, r2 = h1 / mu1, h2 / mu2
+        return Mortar(
+            traction=mean, penalty=beta, gamma=alpha * h1 * h2 / denom,
+            stab=((alpha * r1, (1.0, 0.0)), (alpha * r2, (0.0, 1.0))),
+            c_q=alpha * (r1 + r2),
+            consistency=((1, r1, (1.0, 0.0)), (2, r2, (0.0, 1.0))),
+        )
+    # inverse-penalty variant: the weighted mean, stabilised by itself;
+    # its estimator term splits half/half between the parent facets
+    c = 1.0 / beta
+    return Mortar(traction=mean, penalty=beta, gamma=None, stab=((c, mean),), c_q=c,
+                  consistency=((1, 0.5 * c, mean), (2, 0.5 * c, mean)))
+
+
+def combine(weights, x1, x2):
+    """``a1 x1 + a2 x2`` for traction weights ``(a1, a2)``; per-sample
+    weights scale the rows of two-dimensional ``x1``, ``x2``."""
+    a1, a2 = weights
+    if x1.ndim == 2:
+        a1 = a1[:, None] if isinstance(a1, np.ndarray) else a1
+        a2 = a2[:, None] if isinstance(a2, np.ndarray) else a2
+    return a1 * x1 + a2 * x2
 
 
 def lh_values(data: InterfaceData, materials, config: NitscheConfig, u: np.ndarray) -> np.ndarray:
     """Eliminated multiplier expression at every interface sample."""
-    w1, w2, beta, _, beta_ms, slave = _sample_coefficients(data, materials, config)
-    ju = data.rows_dot(data.jump, u)
-    t1u = data.rows_dot(data.t1, u)
-    t2u = data.rows_dot(data.t2, u)
-    if config.variant == MASTER_SLAVE:
-        ts = t2u if slave == 2 else t1u
-        return -ts - beta_ms * ju
-    return -(w1 * t1u + w2 * t2u) - beta * ju
+    m = mortar(data, materials, config)
+    a1, a2 = m.traction
+    t = a1 * data.rows_dot(data.t1, u) + a2 * data.rows_dot(data.t2, u)
+    return -t - m.penalty * data.rows_dot(data.jump, u)
 
 
 def detect_active_set(data: InterfaceData, materials, config: NitscheConfig, u: np.ndarray) -> np.ndarray:
@@ -328,46 +401,35 @@ def assemble_nitsche(data: InterfaceData, materials, config: NitscheConfig,
                      active: np.ndarray, ndofs: int) -> sp.csr_matrix:
     """Interface contribution of the chosen variant for a frozen active set.
 
-    On the active samples: the penalty term, the two symmetric
-    consistency terms, and (weighted variant only) the traction-jump
-    stabilisation.  On inactive samples the variant's own stabilisation
-    term, unless dropped.  Entries whose dof index in ``data.dofs`` is
-    negative are left out, so data renumbered onto the free dofs (fixed
-    dofs mapped to -1) assembles the constrained matrix directly.
+    On the active samples ``penalty J J + M J + J M - gamma D D`` of the
+    variant's ``mortar`` record; on the inactive ones its stabilisation
+    ``-sum c_k R_k R_k``, unless dropped.  Entries whose dof index in
+    ``data.dofs`` is negative are left out, so data renumbered onto the
+    free dofs (fixed dofs mapped to -1) assembles the constrained matrix
+    directly.
     """
     if active.shape != (data.num_samples,):
         raise ValueError(
             f"active indicator has length {active.shape}, expected {data.num_samples}"
         )
-    w1, w2, beta, gamma, beta_ms, slave = _sample_coefficients(data, materials, config)
-    mu1, mu2 = materials[0].mu, materials[1].mu
+    m = mortar(data, materials, config)
     T1, T2, J = data.t1, data.t2, data.jump
-    if config.variant == MASTER_SLAVE:
-        M = T2 if slave == 2 else T1
-        pen = beta_ms
-    else:
-        M = w1[:, None] * T1 + w2[:, None] * T2
-        pen = beta
+    M = combine(m.traction, T1, T2)
 
     # (per-sample coefficient, left row, right row): coefficient * left^T right
     on = data.weights * active
-    terms = [(on * pen, J, J), (on, M, J), (on, J, M)]
-    if config.variant == WEIGHTED:
-        terms.append((-on * gamma, T2 - T1, T2 - T1))
+    terms = [(on * m.penalty, J, J), (on, M, J), (on, J, M)]
+    if m.gamma is not None:
+        D = T2 - T1
+        terms.append((-on * m.gamma, D, D))
     if not config.drop_inactive_terms:
         off = data.weights * ~active
-        if config.variant == WEIGHTED:
-            terms.append((-off * config.alpha * data.h1 / mu1, T1, T1))
-            terms.append((-off * config.alpha * data.h2 / mu2, T2, T2))
-        elif config.variant == MASTER_SLAVE:
-            hs, mus = (data.h2, mu2) if slave == 2 else (data.h1, mu1)
-            terms.append((-off * config.alpha * hs / mus, M, M))
-        else:
-            terms.append((-off / pen, M, M))
+        for c, weights in m.stab:
+            R = M if weights is m.traction else combine(weights, T1, T2)
+            terms.append((-off * c, R, R))
 
-    nseg, npatch = data.dofs.shape
-    K = sum(np.einsum("s,si,sj->sij", c, left, right) for c, left, right in terms)
-    K = K.reshape(nseg, data.n_per_seg, npatch * npatch).sum(axis=1)
+    K = data.outer_sums(terms)
+    npatch = data.dofs.shape[1]
     rows = np.repeat(data.dofs, npatch, axis=1)
     cols = np.tile(data.dofs, (1, npatch))
     keep = (rows >= 0) & (cols >= 0)
@@ -467,8 +529,7 @@ def transfer_active(points: np.ndarray, start_points, start_active) -> np.ndarra
     return start_active[pick]
 
 
-def solve(config: NitscheConfig, problem: ContactProblem,
-          data: Optional[InterfaceData] = None) -> SolveResult:
+def solve(config: NitscheConfig, problem: ContactProblem) -> SolveResult:
     """Active-set fixed point: assemble for a guessed contact region,
     solve, re-detect, repeat until the indicator reproduces itself.
 
@@ -478,8 +539,7 @@ def solve(config: NitscheConfig, problem: ContactProblem,
     in contact).  A repeated non-consecutive indicator is reported as
     nonconvergence rather than damped.
     """
-    if data is None:
-        data = build_interface_data(problem)
+    data = build_interface_data(problem)
     A0, b = bulk_system(problem)
     # constrain once; each iteration assembles the interface term directly
     # in free-dof numbering (fixed dofs map to -1 and are left out)

@@ -19,7 +19,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .contact import MASTER_SLAVE, WEIGHTED, SolveResult
+from .contact import SolveResult, combine, mortar
 from .fem import (
     FeSpace,
     MaterialParams,
@@ -158,12 +158,11 @@ def _facet_gauss_stress(space, sig_vertices, facets, xi):
     return sig, n, length, tris
 
 
-def interior_facet_estimator(space: FeSpace, mat: MaterialParams, coeffs: np.ndarray,
+def interior_facet_estimator(space: FeSpace, mat: MaterialParams, sig: np.ndarray,
                              n_gauss: Optional[int] = None) -> np.ndarray:
     """Squared traction-jump terms (h_E / mu) ||[sigma n]||^2 over all
-    facets (zero on boundary facets)."""
+    facets (zero on boundary facets); ``sig`` is ``vertex_stresses``."""
     mesh = space.mesh
-    sig = vertex_stresses(space, mat, coeffs)
     ng = (space.degree + 1) if n_gauss is None else n_gauss
     xi, wg = gauss1d(ng)
 
@@ -194,16 +193,16 @@ def interior_facet_estimator(space: FeSpace, mat: MaterialParams, coeffs: np.nda
     return out
 
 
-def neumann_facet_estimator(space: FeSpace, mat: MaterialParams, coeffs: np.ndarray,
+def neumann_facet_estimator(space: FeSpace, mat: MaterialParams, sig: np.ndarray,
                             n_gauss: Optional[int] = None) -> np.ndarray:
     """Squared Neumann residuals (h_E / mu) ||sigma n - g||^2 (g the
-    prescribed traction, zero by default), over all facets."""
+    prescribed traction, zero by default), over all facets; ``sig`` is
+    ``vertex_stresses``."""
     mesh = space.mesh
     out = np.zeros(mesh.num_facets)
     neumann = mesh.facets_of_kind("neumann")
     if neumann.size == 0:
         return out
-    sig = vertex_stresses(space, mat, coeffs)
     ng = (space.degree + 1) if n_gauss is None else n_gauss
     xi, wg = gauss1d(ng)
     s, n, length, tris = _facet_gauss_stress(space, sig, neumann, xi)
@@ -249,142 +248,80 @@ def oscillation(space: FeSpace, f: Optional[Callable], quad_degree: int = 6) -> 
     return hK * np.sqrt(np.maximum(err2, 0.0))
 
 
-def _lagrange_matrix(nodes: np.ndarray, ts: np.ndarray) -> np.ndarray:
-    """Lagrange basis through ``nodes`` at the parameters ``ts``: (len(ts), len(nodes))."""
-    out = np.ones((len(ts), len(nodes)))
-    for k in range(len(nodes)):
-        for m in range(len(nodes)):
-            if m != k:
-                out[:, k] *= (ts - nodes[m]) / (nodes[k] - nodes[m])
-    return out
+def body_stresses(result: SolveResult) -> tuple:
+    """``vertex_stresses`` of both bodies for a solve."""
+    problem = result.problem
+    return tuple(vertex_stresses(space, mat, result.u[problem.offset(i + 1):][:space.num_dofs])
+                 for i, (space, mat) in enumerate(zip(problem.spaces, problem.materials)))
 
 
-def _normal_jump(problem, u, parents, normal, pts):
-    """Normal-displacement jump -(u1.n1 + u2.n2) at interface points.
-
-    ``pts`` is (nseg, nq, 2); segment ``s`` lies on facet ``parents[0][s]``
-    of body 1 and on facet ``parents[1][s]`` of body 2, and ``normal[s]``
-    points out of body 1.
-    """
-    nseg, nq, _ = pts.shape
-    jump = np.zeros((nseg, nq))
-    for body, parent in ((1, parents[0]), (2, parents[1])):
-        space = problem.spaces[body - 1]
-        mesh = space.mesh
-        tri = mesh.facet_triangles[parent, 0]
-        p = mesh.vertices[mesh.triangles[tri]]                      # (nseg, 3, 2)
-        A = np.stack([p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]], axis=-1)
-        ref = np.linalg.solve(A, (pts - p[:, None, 0]).transpose(0, 2, 1)).transpose(0, 2, 1)
-        phi = shape_values(space.degree, ref.reshape(-1, 2)).reshape(nseg, nq, -1)
-        nodes = space.cell_nodes[tri]
-        off = problem.offset(body)
-        n_body = normal if body == 1 else -normal
-        ux = np.einsum("sql,sl->sq", phi, u[off + 2 * nodes])
-        uy = np.einsum("sql,sl->sq", phi, u[off + 2 * nodes + 1])
-        jump -= ux * n_body[:, None, 0] + uy * n_body[:, None, 1]
-    return jump
-
-
-def contact_facet_estimator(result: SolveResult, n_gauss: Optional[int] = None):
+def contact_facet_estimator(result: SolveResult, stresses: tuple):
     """Squared contact-facet terms for both bodies plus the global
     complementarity term.
 
-    The pressure-consistency family depends on the mortaring variant:
-    the weighted variant charges both bodies, master-slave only the
-    softer body, and the inverse-penalty variant integrates the weighted
-    mean residual per segment (split half/half between the parent
-    facets).  Tangential-traction and penetration terms are always
-    charged to both bodies.  All segments are evaluated at once; a
-    facet that parents several segments collects their terms in segment
-    order.
+    Every term is integrated at the solve's own interface samples
+    (``result.data``: points, weights, parent facet sizes, and the
+    normal-displacement jump of ``result.jump_un``); their Gauss rule is
+    exact on a segment where the gap keeps its sign.  The body tractions
+    are traces of ``stresses`` (``body_stresses``), linear along each
+    parent facet.  The pressure-consistency terms are the variant's
+    ``mortar`` record: the weighted variant charges both bodies,
+    master-slave only the softer body, and the inverse-penalty variant
+    splits the weighted mean residual half/half between the parent
+    facets.  Tangential-traction and penetration terms are always
+    charged to both bodies.  A facet that parents several segments
+    collects their terms in segment order.
     """
     problem = result.problem
     data = result.data
-    config = result.config
     mats = problem.materials
-    mu1, mu2 = mats[0].mu, mats[1].mu
-    slave = 2 if mu1 >= mu2 else 1
-    out = (
-        np.zeros(problem.spaces[0].mesh.num_facets),
-        np.zeros(problem.spaces[1].mesh.num_facets),
-    )
-    sig_v = []
-    for i in range(2):
-        off = problem.offset(i + 1)
-        coeffs = result.u[off:off + problem.spaces[i].num_dofs]
-        sig_v.append(vertex_stresses(problem.spaces[i], mats[i], coeffs))
-
-    default = n_gauss is None or n_gauss == data.n_per_seg
-    xi, wg = data.gauss if default else gauss1d(n_gauss)
-
+    out = tuple(np.zeros(space.mesh.num_facets) for space in problem.spaces)
     segs = data.segments
     nseg = len(segs)
     if nseg == 0:
         return out, 0.0
-    p0 = np.array([s.p0 for s in segs], dtype=float)
-    p1 = np.array([s.p1 for s in segs], dtype=float)
-    normal = np.array([s.normal for s in segs], dtype=float)
+    # the interface is one straight line: every segment carries its normal
+    normal = segs[0].normal
     parents = (np.array([s.parent1 for s in segs], dtype=int),
                np.array([s.parent2 for s in segs], dtype=int))
-    h = (np.array([s.h1 for s in segs], dtype=float),
-         np.array([s.h2 for s in segs], dtype=float))
+    h = (data.h1, data.h2)
+    lam = result.lam
+    jump = result.jump_un()
 
-    pts = p0[:, None, :] + xi[None, :, None] * (p1 - p0)[:, None, :]   # (nseg, nq, 2)
-    wq = wg[None, :] * np.hypot(*(p1 - p0).T)[:, None]
-    lam = result.lam.reshape(nseg, data.n_per_seg)
-    if not default:
-        # the segmentwise polynomial pressure through its samples
-        lam = lam @ _lagrange_matrix(data.gauss[0], xi).T
-    jump = _normal_jump(problem, result.u, parents, normal, pts)
-    denom = h[0] * mu2 + h[1] * mu1
-    w1 = (h[0] * mu2 / denom)[:, None]
-    w2 = (h[1] * mu1 / denom)[:, None]
-    beta = mu1 * mu2 / (config.alpha * denom)
-
-    snn = [None, None]
-    tang = [None, None]
+    snn, tang = [], []
     for i in range(2):
         mesh = problem.spaces[i].mesh
         n_body = normal if i == 0 else -normal
-        ends = mesh.facets[parents[i]]                                # (nseg, 2)
+        parent = parents[i][data.seg_of]
+        ends = mesh.facets[parent]                                    # (ns, 2)
         a = mesh.vertices[ends[:, 0]]
         e = mesh.vertices[ends[:, 1]] - a
-        tau = np.einsum("sqd,sd->sq", pts - a[:, None, :], e) / (e * e).sum(axis=1)[:, None]
-        tri = mesh.facet_triangles[parents[i], 0]
+        tau = ((data.points - a) * e).sum(axis=1) / (e * e).sum(axis=1)
+        tri = mesh.facet_triangles[parent, 0]
         tv = mesh.triangles[tri]
         la = (tv == ends[:, :1]).argmax(axis=1)
         lb = (tv == ends[:, 1:]).argmax(axis=1)
-        sig_pts = (
-            sig_v[i][tri, la][:, None] * (1 - tau)[..., None, None]
-            + sig_v[i][tri, lb][:, None] * tau[..., None, None]
-        )                                                             # (nseg, nq, 2, 2)
-        trac = np.einsum("sqab,sb->sqa", sig_pts, n_body)
-        snn[i] = np.einsum("sqa,sa->sq", trac, n_body)
-        tang[i] = trac - snn[i][..., None] * n_body[:, None, :]
+        sig = (stresses[i][tri, la] * (1 - tau)[:, None, None]
+               + stresses[i][tri, lb] * tau[:, None, None])           # (ns, 2, 2)
+        trac = sig @ n_body
+        snn.append(trac @ n_body)
+        tang.append(trac - snn[i][:, None] * n_body)
 
-    S2 = float((wq * np.maximum(jump, 0.0) * lam).sum())
-
+    S2 = float((data.weights * np.maximum(jump, 0.0) * lam).sum())
+    terms = [(h[i] / mats[i].mu) * (tang[i] * tang[i]).sum(axis=1)
+             + (mats[i].mu / h[i]) * np.maximum(-jump, 0.0) ** 2 for i in range(2)]
+    for body, weight, traction in mortar(data, mats, result.config).consistency:
+        terms[body - 1] = terms[body - 1] + weight * (lam + combine(traction, *snn)) ** 2
     for i in range(2):
-        mu = mats[i].mu
-        hE = h[i]
-        term = (hE / mu) * (wq * (tang[i] * tang[i]).sum(axis=2)).sum(axis=1)
-        term += (mu / hE) * (wq * np.maximum(-jump, 0.0) ** 2).sum(axis=1)
-        if config.variant == WEIGHTED:
-            term += (hE / mu) * (wq * (lam + snn[i]) ** 2).sum(axis=1)
-        elif config.variant == MASTER_SLAVE:
-            if i + 1 == slave:
-                term += (hE / mu) * (wq * (lam + snn[i]) ** 2).sum(axis=1)
-        else:
-            mean = w1 * snn[0] + w2 * snn[1]
-            term += 0.5 * (wq * (lam + mean) ** 2).sum(axis=1) / beta
-        np.add.at(out[i], parents[i], term)
+        per_seg = (data.weights * terms[i]).reshape(nseg, data.n_per_seg).sum(axis=1)
+        np.add.at(out[i], parents[i], per_seg)
     return out, S2
 
 
-def report(result: SolveResult, n_gauss_facet: Optional[int] = None,
-           quad_degree_volume: int = 6) -> EstimatorReport:
+def report(result: SolveResult, quad_degree_volume: int = 6) -> EstimatorReport:
     """Full estimator evaluation for a converged solve."""
     problem = result.problem
+    stresses = body_stresses(result)
     element2 = []
     interior2 = []
     neumann2 = []
@@ -396,10 +333,10 @@ def report(result: SolveResult, n_gauss_facet: Optional[int] = None,
         coeffs = result.u[off:off + space.num_dofs]
         f = problem.body_loads[i]
         element2.append(element_estimator(space, mat, coeffs, f, quad_degree_volume))
-        interior2.append(interior_facet_estimator(space, mat, coeffs, n_gauss_facet))
-        neumann2.append(neumann_facet_estimator(space, mat, coeffs, n_gauss_facet))
+        interior2.append(interior_facet_estimator(space, mat, stresses[i]))
+        neumann2.append(neumann_facet_estimator(space, mat, stresses[i]))
         osc.append(oscillation(space, f, quad_degree_volume))
-    contact2, S2 = contact_facet_estimator(result, n_gauss_facet)
+    contact2, S2 = contact_facet_estimator(result, stresses)
 
     aggregates = []
     for i in range(2):

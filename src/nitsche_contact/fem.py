@@ -32,8 +32,8 @@ class MaterialParams:
 
     @staticmethod
     def from_young(E: float, nu: float) -> "MaterialParams":
-        if E <= 0:
-            raise ValueError(f"Young's modulus must be positive, got {E}")
+        if not (np.isfinite(E) and E > 0):
+            raise ValueError(f"Young's modulus must be positive and finite, got {E}")
         if not (0 <= nu <= NU_MAX):
             raise ValueError(
                 f"Poisson ratio {nu} outside [0, {NU_MAX}]; nearly incompressible "

@@ -22,21 +22,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
 
 from .contact import (
-    MASTER_SLAVE,
-    WEIGHTED,
     ContactProblem,
     InterfaceData,
     NitscheConfig,
-    _sample_coefficients,
     _solve_linear,
     build_interface_data,
     bulk_system,
+    combine,
+    lh_values,
+    mortar,
 )
 
 ENUMERATION_SAMPLE_CAP = 12
@@ -71,40 +70,27 @@ class MixedSystem:
         return self.data.num_samples
 
 
-def build_mixed_system(problem: ContactProblem, config: NitscheConfig,
-                       data: Optional[InterfaceData] = None) -> MixedSystem:
-    """Assemble the stabilised mixed operator for the chosen variant."""
-    if data is None:
-        data = build_interface_data(problem)
+def build_mixed_system(problem: ContactProblem, config: NitscheConfig) -> MixedSystem:
+    """Assemble the stabilised mixed operator for the chosen variant.
+
+    Only the variant's stabilisation pairs ``(c_k, R_k)`` and their sum
+    ``c_q`` enter; eliminating the multiplier gives back the Nitsche form.
+    """
+    data = build_interface_data(problem)
     A, b = bulk_system(problem)
     n_u = problem.num_dofs
     n_l = data.num_samples
-    w1, w2, beta, _, beta_ms, slave = _sample_coefficients(data, problem.materials, config)
-    mu1, mu2 = problem.materials[0].mu, problem.materials[1].mu
-    alpha = config.alpha
-    T1, T2 = data.t1, data.t2
-
-    # stabilisation of each variant: pairs (per-sample coefficient, traction rows)
-    if config.variant == WEIGHTED:
-        stab = [(alpha * data.h1 / mu1, T1), (alpha * data.h2 / mu2, T2)]
-        c_weight = alpha * (data.h1 / mu1 + data.h2 / mu2)
-    elif config.variant == MASTER_SLAVE:
-        Ts, hs, mus = (T2, data.h2, mu2) if slave == 2 else (T1, data.h1, mu1)
-        stab = [(alpha * hs / mus, Ts)]
-        c_weight = alpha * hs / mus
-    else:
-        stab = [(1.0 / beta, w1[:, None] * T1 + w2[:, None] * T2)]
-        c_weight = 1.0 / beta
+    m = mortar(data, problem.materials, config)
+    stab = [(c, combine(weights, data.t1, data.t2)) for c, weights in m.stab]
 
     w = data.weights
-    nseg, npatch = data.dofs.shape
-    # displacement-displacement stabilisation: -sum coeff T^T T, per segment
-    uu = sum(np.einsum("s,si,sj->sij", -w * coeff, T, T) for coeff, T in stab)
-    uu = uu.reshape(nseg, data.n_per_seg, npatch * npatch).sum(axis=1)
-    # displacement-multiplier coupling: -(jump + sum coeff T)
+    npatch = data.dofs.shape[1]
+    # displacement-displacement stabilisation: -sum c_k R_k^T R_k, per segment
+    uu = data.outer_sums([(-w * c, R, R) for c, R in stab])
+    # displacement-multiplier coupling: -(jump + sum c_k R_k)
     coupling = -w[:, None] * data.jump
-    for coeff, T in stab:
-        coupling = coupling - (w * coeff)[:, None] * T
+    for c, R in stab:
+        coupling = coupling - (w * c)[:, None] * R
     d = data.dofs[data.seg_of]                       # (n_l, npatch)
     diag = n_u + np.arange(n_l)                      # multiplier unknowns
     mult = np.broadcast_to(diag[:, None], d.shape)
@@ -114,12 +100,12 @@ def build_mixed_system(problem: ContactProblem, config: NitscheConfig,
     cols = np.concatenate([np.tile(data.dofs, (1, npatch)).ravel(),
                            mult.ravel(), d.ravel(), diag])
     vals = np.concatenate([uu.ravel(), coupling.ravel(), coupling.ravel(),
-                           -w * c_weight])    # multiplier-multiplier: -c_q
+                           -w * m.c_q])    # multiplier-multiplier: -c_q
     S = sp.coo_matrix((vals, (rows, cols)), shape=(n_u + n_l, n_u + n_l)).tocsr()
     full = sp.bmat([[A, None], [None, sp.csr_matrix((n_l, n_l))]], format="csr") + S
     rhs = np.concatenate([b, np.zeros(n_l)])
     return MixedSystem(problem=problem, config=config, data=data,
-                       matrix=full, rhs=rhs, c=c_weight)
+                       matrix=full, rhs=rhs, c=m.c_q)
 
 
 @dataclass
@@ -144,8 +130,6 @@ def _solve_pattern(system: MixedSystem, pattern: np.ndarray):
 
 
 def _lh_of(system: MixedSystem, u: np.ndarray) -> np.ndarray:
-    from .contact import lh_values
-
     return lh_values(system.data, system.problem.materials, system.config, u)
 
 

@@ -118,6 +118,27 @@ class TestRefineFlag:
         assert not any(tmp_path.iterdir())
 
 
+class TestPositiveFloatFlags:
+    @pytest.mark.parametrize("flag", ["--alpha", "--e2"])
+    @pytest.mark.parametrize("value", ["inf", "nan", "-1", "0"])
+    def test_bad_value_is_usage_error(self, tmp_path, capsys, flag, value):
+        with pytest.raises(SystemExit) as err:
+            main(["solve", flag, value, "--out", str(tmp_path / "out")])
+        assert err.value.code == 2
+        assert flag in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("line, key", [("alpha=inf", "alpha"), ("e2=-1", "e2")])
+    def test_bad_value_in_config_is_usage_error(self, tmp_path, capsys, line, key):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        with pytest.raises(SystemExit) as err:
+            main(["--config", str(cfg), "study", "--out", str(tmp_path / "out")])
+        assert err.value.code == 2
+        assert repr(key) in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
 class TestConfigFile:
     def test_flags_override_file(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

@@ -2,14 +2,16 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nitsche_contact.adapt import initial_meshes, make_experiment, make_problem
 from nitsche_contact.contact import (
+    VARIANTS,
     ContactProblem,
     NitscheConfig,
     NonconvergenceError,
     SolverError,
-    _sample_coefficients,
     assemble_nitsche,
     build_interface_data,
     bulk_system,
@@ -17,6 +19,7 @@ from nitsche_contact.contact import (
     detect_active_set,
     energy_norm,
     lh_values,
+    mortar,
     solve,
     transfer_active,
 )
@@ -39,15 +42,16 @@ class TestCoefficients:
         _, prob = small_problem()
         h = SimpleNamespace(h1=np.array([s.h1 for s in prob.segments]),
                             h2=np.array([s.h2 for s in prob.segments]))
-        w1, w2, beta, gamma, _, _ = _sample_coefficients(h, prob.materials,
-                                                         NitscheConfig(alpha=1e-2))
+        m = mortar(h, prob.materials, NitscheConfig(variant="weighted", alpha=1e-2))
+        (w1, w2), beta, gamma = m.traction, m.penalty, m.gamma
         assert np.allclose(w1 + w2, 1.0, rtol=0.0, atol=1e-14)
         assert np.all(beta > 0) and np.all(gamma > 0)
 
     def test_beta_value(self):
         # equal facet sizes and shear moduli: beta = mu / (2 alpha h)
         h = SimpleNamespace(h1=np.array([0.1]), h2=np.array([0.1]))
-        w1, w2, beta, *_ = _sample_coefficients(h, (MAT, MAT), NitscheConfig(alpha=0.01))
+        m = mortar(h, (MAT, MAT), NitscheConfig(alpha=0.01))
+        (w1, w2), beta = m.traction, m.penalty
         assert beta[0] == pytest.approx(192.30769230769232, rel=1e-12)
         assert w1[0] == pytest.approx(0.5)
         assert w2[0] == pytest.approx(0.5)
@@ -55,11 +59,60 @@ class TestCoefficients:
     def test_dissimilar_materials_weighting(self):
         soft = MaterialParams.from_young(0.01, 0.3)
         h = SimpleNamespace(h1=np.array([0.2]), h2=np.array([0.4]))
-        w1, *_, slave = _sample_coefficients(h, (MAT, soft), NitscheConfig(alpha=1e-2))
+        w1, _ = mortar(h, (MAT, soft), NitscheConfig(alpha=1e-2)).traction
         # w1 = h1 mu2 / (h1 mu2 + h2 mu1)
         expect = 0.2 * soft.mu / (0.2 * soft.mu + 0.4 * MAT.mu)
         assert w1[0] == pytest.approx(expect, rel=1e-14)
-        assert slave == 2  # softer body is mortared
+        ms = mortar(h, (MAT, soft), NitscheConfig(variant="master-slave", alpha=1e-2))
+        assert ms.traction == (0.0, 1.0)  # softer body is mortared
+
+
+def _per_sample(weights, ns):
+    """Traction weights as an (ns, 2) array."""
+    return np.column_stack([np.broadcast_to(a, (ns,)) for a in weights])
+
+
+@settings(max_examples=60, deadline=None)
+@given(h=st.lists(st.tuples(st.floats(1e-3, 1.0), st.floats(1e-3, 1.0)), min_size=1, max_size=6),
+       log_ratio=st.floats(-3.0, 3.0), log_alpha=st.floats(-5.0, 0.0),
+       variant=st.sampled_from(VARIANTS))
+def test_mortar_elimination_identity(h, log_ratio, log_alpha, variant):
+    """Eliminating the multiplier of the stabilised mixed form gives back
+    the Nitsche form: sum c_k b_k = c_q a, penalty c_q = 1, and
+    c_q a a^T - sum c_k b_k b_k^T = -gamma (e2 - e1)(e2 - e1)^T."""
+    h1, h2 = np.array(h).T
+    ns = len(h1)
+    materials = (MAT, MaterialParams.from_young(10.0 ** log_ratio, 0.3))
+    m = mortar(SimpleNamespace(h1=h1, h2=h2), materials,
+               NitscheConfig(variant=variant, alpha=10.0 ** log_alpha))
+    a = _per_sample(m.traction, ns)
+    c_q = np.broadcast_to(m.c_q, (ns,))
+    pairs = [(np.broadcast_to(c, (ns,)), _per_sample(b, ns)) for c, b in m.stab]
+    assert np.allclose(sum(c for c, _ in pairs), c_q, rtol=1e-14, atol=0.0)
+    assert np.allclose(m.penalty * c_q, 1.0, rtol=0.0, atol=1e-14)
+    assert np.allclose(sum(c[:, None] * b for c, b in pairs), c_q[:, None] * a,
+                       rtol=0.0, atol=1e-14 * c_q.max())
+    lhs = c_q[:, None, None] * np.einsum("si,sj->sij", a, a) - sum(
+        c[:, None, None] * np.einsum("si,sj->sij", b, b) for c, b in pairs)
+    gamma = np.broadcast_to(0.0 if m.gamma is None else m.gamma, (ns,))
+    rhs = -gamma[:, None, None] * np.array([[1.0, -1.0], [-1.0, 1.0]])
+    assert np.allclose(lhs, rhs, rtol=0.0, atol=1e-14 * c_q.max())
+
+
+class TestConfigValidation:
+    @pytest.mark.parametrize("alpha", [np.inf, -np.inf, np.nan, 0.0, -1.0])
+    def test_alpha_must_be_positive_and_finite(self, alpha):
+        with pytest.raises(ValueError, match="alpha"):
+            NitscheConfig(alpha=alpha)
+
+    @pytest.mark.parametrize("count", [0, -3, 2.5, True, "5"])
+    def test_max_iterations_must_be_a_positive_integer(self, count):
+        with pytest.raises(ValueError, match="max_iterations"):
+            NitscheConfig(max_iterations=count)
+
+    def test_integer_types_accepted(self):
+        assert NitscheConfig(max_iterations=np.int64(7)).max_iterations == 7
+        assert NitscheConfig(max_iterations=1).max_iterations == 1
 
 
 class TestLh:
@@ -80,8 +133,7 @@ class TestLh:
         u = np.zeros(prob.num_dofs)
         u[0:prob.spaces[0].num_dofs:2] = delta  # body 1 shifted toward body 2
         lh = lh_values(data, prob.materials, cfg, u)
-        _, _, beta, _, beta_ms, _ = _sample_coefficients(data, prob.materials, cfg)
-        expect = (beta_ms if variant == "master-slave" else beta) * delta
+        expect = mortar(data, prob.materials, cfg).penalty * delta
         assert np.allclose(lh, expect, rtol=1e-10)
         assert detect_active_set(data, prob.materials, cfg, u).all()
 
@@ -230,7 +282,7 @@ class TestWarmStart:
         data = build_interface_data(prob)
         prob.warm_start = (data.points, np.ones(data.num_samples - 1, dtype=bool))
         with pytest.raises(ValueError, match="start indicator"):
-            solve(NitscheConfig(alpha=1e-2), prob, data)
+            solve(NitscheConfig(alpha=1e-2), prob)
 
 
 class TestEquilibrium:
@@ -265,8 +317,7 @@ class TestMasterSlave:
         _, prob = small_problem("pressing", e2=100.0)
         data = build_interface_data(prob)
         cfg = NitscheConfig(variant="master-slave", alpha=1e-2)
-        *_, slave = _sample_coefficients(data, prob.materials, cfg)
-        assert slave == 1  # softer body is mortared
+        assert mortar(data, prob.materials, cfg).traction == (1.0, 0.0)  # softer body is mortared
         res = solve(cfg, prob)
         assert res.lam.min() >= 0.0
 

@@ -10,6 +10,7 @@ from nitsche_contact.contact import (
     solve,
 )
 from nitsche_contact.estimator import (
+    body_stresses,
     contact_facet_estimator,
     element_estimator,
     interior_facet_estimator,
@@ -17,6 +18,7 @@ from nitsche_contact.estimator import (
     oscillation,
     report,
     stress_divergence,
+    vertex_stresses,
 )
 from nitsche_contact.fem import (
     FeSpace,
@@ -28,6 +30,7 @@ from nitsche_contact.fem import (
 )
 from nitsche_contact.mesh import uniform_refine
 
+from test_batching import reference_contact_estimator
 from test_mesh import body1_mesh
 
 MAT = MaterialParams.from_young(1.0, 0.3)
@@ -86,7 +89,7 @@ class TestInteriorFacets:
             space = FeSpace.build(body1_mesh(2, 2), p)
             coeffs = interpolate(space, lambda x: np.column_stack(
                 [0.3 * x[:, 0] - 0.1 * x[:, 1], 0.2 * x[:, 1]]))
-            eta = interior_facet_estimator(space, MAT, coeffs)
+            eta = interior_facet_estimator(space, MAT, vertex_stresses(space, MAT, coeffs))
             assert np.abs(eta).max() < 1e-26
 
     @pytest.mark.parametrize("degree", [1, 2])
@@ -95,7 +98,7 @@ class TestInteriorFacets:
         rng = np.random.RandomState(3)
         coeffs = rng.randn(space.num_dofs)
         field = FieldFunction(space, coeffs)
-        eta = interior_facet_estimator(space, MAT, coeffs)
+        eta = interior_facet_estimator(space, MAT, vertex_stresses(space, MAT, coeffs))
         mesh = space.mesh
         xs, ws = np.polynomial.legendre.leggauss(12)
         xs = 0.5 * (xs + 1.0)
@@ -125,7 +128,8 @@ class TestInteriorFacets:
 class TestNeumannFacets:
     def test_zero_field(self):
         space = FeSpace.build(body1_mesh(2, 2), 1)
-        eta = neumann_facet_estimator(space, MAT, np.zeros(space.num_dofs))
+        sig = vertex_stresses(space, MAT, np.zeros(space.num_dofs))
+        eta = neumann_facet_estimator(space, MAT, sig)
         assert np.allclose(eta, 0.0)
 
     def test_aligned_uniaxial_stress_free_facets(self):
@@ -134,7 +138,7 @@ class TestNeumannFacets:
         exx, eyy = 1.0, -MAT.lam / (2 * MAT.mu + MAT.lam)
         coeffs = interpolate(space, lambda x: np.column_stack(
             [exx * x[:, 0], eyy * x[:, 1]]))
-        eta = neumann_facet_estimator(space, MAT, coeffs)
+        eta = neumann_facet_estimator(space, MAT, vertex_stresses(space, MAT, coeffs))
         mids = space.mesh.facet_midpoints()
         for f in space.mesh.facets_of_kind("neumann"):
             if abs(mids[f, 1] - 0.25) < 1e-9 or abs(mids[f, 1] - 0.75) < 1e-9:
@@ -146,7 +150,7 @@ class TestNeumannFacets:
         rng = np.random.RandomState(5)
         coeffs = rng.randn(space.num_dofs)
         field = FieldFunction(space, coeffs)
-        eta = neumann_facet_estimator(space, MAT, coeffs)
+        eta = neumann_facet_estimator(space, MAT, vertex_stresses(space, MAT, coeffs))
         mesh = space.mesh
         xs, ws = np.polynomial.legendre.leggauss(12)
         xs = 0.5 * (xs + 1.0)
@@ -174,7 +178,7 @@ class TestContactFacets:
         # converged flat-compression solve: every contact term is zero
         setup, prob = contact_pair(experiment="patch", res=((2, 3), (3, 4)))
         res = solve(NitscheConfig(variant="juntunen", alpha=1e-2), prob)
-        contact2, S2 = contact_facet_estimator(res)
+        contact2, S2 = contact_facet_estimator(res, body_stresses(res))
         assert sum(a.sum() for a in contact2) < 1e-22
         # S^2 is linear in the rounding-level gap, so its floor is ~1e-17
         assert S2 < 1e-15
@@ -187,7 +191,7 @@ class TestContactFacets:
         u = np.zeros(prob.num_dofs)
         u[0:prob.spaces[0].num_dofs:2] = delta
         res = synthetic_result(prob, u, lam=np.zeros(build_interface_data(prob).num_samples))
-        contact2, S2 = contact_facet_estimator(res)
+        contact2, S2 = contact_facet_estimator(res, body_stresses(res))
         assert S2 == pytest.approx(0.0, abs=1e-30)
         for i in range(2):
             mesh = prob.spaces[i].mesh
@@ -205,7 +209,7 @@ class TestContactFacets:
         u[0:prob.spaces[0].num_dofs:2] = -delta
         data = build_interface_data(prob)
         res = synthetic_result(prob, u, lam=np.full(data.num_samples, c))
-        _, S2 = contact_facet_estimator(res)
+        _, S2 = contact_facet_estimator(res, body_stresses(res))
         assert S2 == pytest.approx(delta * c * 0.5, rel=1e-12)
 
     def test_tangential_term_detects_shear(self):
@@ -216,7 +220,7 @@ class TestContactFacets:
             np.zeros(prob.spaces[1].num_dofs),
         ])
         res = synthetic_result(prob, u, lam=np.zeros(build_interface_data(prob).num_samples))
-        contact2, _ = contact_facet_estimator(res)
+        contact2, _ = contact_facet_estimator(res, body_stresses(res))
         assert contact2[0].sum() > 0
 
 
@@ -294,8 +298,8 @@ class TestReport:
         assert rep2.S == pytest.approx(scale * rep0.S, rel=1e-10)
 
     def test_facet_quadrature_consistency(self):
-        # polynomial traces with sign-definite gap: doubling the facet
-        # rule must not change any facet term
+        # polynomial traces with sign-definite gap: the segment-loop
+        # reference at a doubled facet rule must give every facet term
         _, prob = contact_pair(degree=2)
         rng = np.random.RandomState(11)
         smooth = 1e-3 * rng.randn(prob.num_dofs)
@@ -306,8 +310,8 @@ class TestReport:
         lam = np.maximum(lh_values(data, prob.materials, cfg, u), 0.0)
         res = synthetic_result(prob, u, config=cfg, lam=lam)
 
-        base_contact, base_S2 = contact_facet_estimator(res)
-        fine_contact, fine_S2 = contact_facet_estimator(res, n_gauss=2 * data.n_per_seg)
+        base_contact, base_S2 = contact_facet_estimator(res, body_stresses(res))
+        fine_contact, fine_S2 = reference_contact_estimator(res, n_gauss=2 * data.n_per_seg)
         for i in range(2):
             nz = base_contact[i] > 0
             assert np.allclose(fine_contact[i][nz], base_contact[i][nz], rtol=1e-10)
@@ -317,8 +321,9 @@ class TestReport:
             space = prob.spaces[i]
             off = prob.offset(i + 1)
             coeffs = u[off:off + space.num_dofs]
-            a = interior_facet_estimator(space, prob.materials[i], coeffs)
-            b = interior_facet_estimator(space, prob.materials[i], coeffs,
+            sig = vertex_stresses(space, prob.materials[i], coeffs)
+            a = interior_facet_estimator(space, prob.materials[i], sig)
+            b = interior_facet_estimator(space, prob.materials[i], sig,
                                          n_gauss=2 * (space.degree + 1))
             nz = a > 0
             assert np.allclose(b[nz], a[nz], rtol=1e-10)

@@ -43,6 +43,11 @@ class TestMaterial:
         with pytest.raises(ValueError):
             MaterialParams.from_young(1.0, 0.49)
 
+    @pytest.mark.parametrize("E", [np.inf, np.nan, 0.0, -1.0])
+    def test_rejects_nonpositive_or_nonfinite_modulus(self, E):
+        with pytest.raises(ValueError, match="Young's modulus"):
+            MaterialParams.from_young(E, 0.3)
+
 
 class TestQuadrature:
     @pytest.mark.parametrize("degree", [1, 2, 4, 6])
