@@ -389,18 +389,21 @@ def _parse_resolutions(text: str):
     return ((parts[0], parts[1]), (parts[2], parts[3]))
 
 
-def _sweep_count(text: str) -> int:
-    sweeps = int(text)
-    if sweeps < 0:
-        raise argparse.ArgumentTypeError(f"refinement sweeps must be >= 0, got {sweeps}")
-    return sweeps
+def _checked(convert, ok, what):
+    """Argument type: ``convert`` the text, then reject a value failing ``ok``."""
+    def parse(text: str):
+        value = convert(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {what}, got {text}")
+        return value
+    parse.__name__ = convert.__name__  # argparse names it in "invalid int value"
+    return parse
 
 
-def _positive_float(text: str) -> float:
-    value = float(text)
-    if not (np.isfinite(value) and value > 0):
-        raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text}")
-    return value
+_non_negative_int = _checked(int, lambda v: v >= 0, "a non-negative integer")
+_positive_int = _checked(int, lambda v: v > 0, "a positive integer")
+_positive_float = _checked(float, lambda v: np.isfinite(v) and v > 0, "a positive finite number")
+_fraction = _checked(float, lambda v: 0.0 < v < 1.0, "in the open interval (0, 1)")
 
 
 def _add_common(p):
@@ -492,20 +495,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="single solve with field and pressure export")
     _add_common(p)
-    p.add_argument("--refine", type=_sweep_count, default=3,
+    p.add_argument("--refine", type=_non_negative_int, default=3,
                    help="uniform refinement sweeps before solving")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("study", help="uniform or adaptive convergence study")
     _add_common(p)
     p.add_argument("--mode", choices=("uniform", "adaptive"), default="adaptive")
-    p.add_argument("--theta", type=float, default=0.5)
-    p.add_argument("--max-dofs", type=int, default=15000)
+    p.add_argument("--theta", type=_fraction, default=0.5)
+    p.add_argument("--max-dofs", type=_positive_int, default=15000)
     p.add_argument("--svg", action="store_true", help="write a log-log plot")
     p.set_defaults(func=cmd_study)
 
     p = sub.add_parser("verify", help="patch test, oracle battery, invariants")
-    p.add_argument("--oracle-instances", type=int, default=8)
+    p.add_argument("--oracle-instances", type=_non_negative_int, default=8)
     p.add_argument("--unclamped-multiplier", action="store_true",
                    help="fault injection: skip clamping the reconstructed pressure")
     p.set_defaults(func=cmd_verify)
@@ -514,7 +517,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--experiment", choices=EXPERIMENTS, default="pressing")
     p.add_argument("--resolutions", type=_parse_resolutions,
                    default=DEFAULT_RESOLUTIONS, metavar="NX1,NY1,NX2,NY2")
-    p.add_argument("--refine", type=_sweep_count, default=0)
+    p.add_argument("--refine", type=_non_negative_int, default=0)
     p.add_argument("--out", default="out")
     p.set_defaults(func=cmd_mesh_dump)
     return parser

@@ -15,7 +15,10 @@ tractions are combined on the interface:
 penalty, the stabilisation pairs, the traction-jump weight and the
 estimator's pressure-consistency terms) that the Nitsche assembly, the
 multiplier expression, the mixed oracle and the contact-facet estimator
-all read.
+all read.  Likewise ``build_interface_data`` is the one place that
+evaluates a body's traction at an interface sample: its rows give each
+body's normal traction, which those four readers take, and its
+tangential traction, which the estimator takes.
 
 The contact region is tracked pointwise at the interface quadrature
 points and resolved by a fixed-point iteration on the active set.  The
@@ -189,8 +192,8 @@ class ContactProblem:
     @cached_property
     def _interface(self) -> "InterfaceData":
         data = _interface_data(self)
-        _read_only(data.points, data.weights, data.seg_of, data.h1, data.h2,
-                   data.dofs, data.jump, data.t1, data.t2, *data.gauss)
+        _read_only(data.points, data.weights, data.seg_of, data.parents, data.h1, data.h2,
+                   data.dofs, data.jump, data.t1, data.t2, data.tan1, data.tan2, *data.gauss)
         return data
 
 
@@ -209,20 +212,27 @@ class InterfaceData:
 
     Per sample: position, weight, parent facet sizes, and the linear
     functionals (rows over the two adjacent elements' dofs) giving the
-    normal-displacement jump and each body's normal traction.  Sample
-    ``s * n_per_seg + k`` is Gauss point ``k`` of segment ``s``.
+    normal-displacement jump and each body's normal and tangential
+    traction (the tangent is the normal out of body 1 turned
+    counterclockwise); per segment: the parent facet in each body.  No
+    other code evaluates a body's traction at a sample: the solve, the
+    multiplier, the mixed oracle and the contact-facet estimator read
+    these rows.  Sample ``s * n_per_seg + k`` is Gauss point ``k`` of
+    segment ``s``.
     """
 
-    segments: list
     points: np.ndarray        # (ns, 2)
     weights: np.ndarray       # (ns,)
     seg_of: np.ndarray        # (ns,) segment index
+    parents: np.ndarray       # (nseg, 2) parent facet in body 1 and in body 2
     h1: np.ndarray            # (ns,)
     h2: np.ndarray
     dofs: np.ndarray          # (nseg, npatch) combined dof ids
     jump: np.ndarray          # (ns, npatch) normal-displacement jump rows
     t1: np.ndarray            # (ns, npatch) body-1 normal traction rows
     t2: np.ndarray            # (ns, npatch)
+    tan1: np.ndarray          # (ns, npatch) body-1 tangential traction rows
+    tan2: np.ndarray          # (ns, npatch)
     gauss: tuple              # reference rule on [0, 1]
     n_per_seg: int
 
@@ -267,43 +277,44 @@ def _interface_data(problem: ContactProblem) -> InterfaceData:
 
     p0 = np.array([s.p0 for s in segs], dtype=float).reshape(nseg, 2)
     p1 = np.array([s.p1 for s in segs], dtype=float).reshape(nseg, 2)
+    parents = np.array([(s.parent1, s.parent2) for s in segs], dtype=int).reshape(nseg, 2)
     x = p0[:, None, :] + xi[None, :, None] * (p1 - p0)[:, None, :]   # (nseg, nq, 2)
     length = np.hypot(*(p1 - p0).T)
     # the interface is one straight line: every segment carries its normal
     normal = segs[0].normal if segs else np.zeros(2)
+    tangent = np.array([-normal[1], normal[0]])
 
-    jump, traction, dofs = [], [], []
-    for body, parents in ((1, [s.parent1 for s in segs]), (2, [s.parent2 for s in segs])):
+    # traction rows of each body, over the combined patch of both bodies
+    t, tan = np.zeros((2, ns, 4 * nl)), np.zeros((2, ns, 4 * nl))
+    jump, dofs = [], []
+    for body in (1, 2):
         space = problem.spaces[body - 1]
         mesh = space.mesh
-        tri = mesh.facet_triangles[np.asarray(parents, dtype=int), 0]
-        p = mesh.vertices[mesh.triangles[tri]]                      # (nseg, 3, 2)
-        invA = np.linalg.inv(np.stack([p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]], axis=-1))
-        ref = np.einsum("sij,sqj->sqi", invA, x - p[:, None, 0]).reshape(ns, 2)
+        tri = mesh.facet_triangles[parents[:, body - 1], 0]
+        ref = space.ref_coords(tri, x).reshape(ns, 2)
         gref = shape_gradients(degree, ref).reshape(nseg, nq, nl, 2)
-        g = np.einsum("sqld,sde->sqle", gref, invA).reshape(ns, nl, 2)
+        g = np.einsum("sqld,sde->sqle", gref, space.geometry()[1][tri]).reshape(ns, nl, 2)
         n_body = normal if body == 1 else -normal
-        snn, _ = elastic_moduli_rows(g, n_body, problem.materials[body - 1])
+        snn, trac = elastic_moduli_rows(g, n_body, problem.materials[body - 1])
         # dof 2 * node + c of the normal displacement is phi_node * n_c
         un = (shape_values(degree, ref)[:, :, None] * n_body).reshape(ns, 2 * nl)
         jump.append(-un)
-        traction.append(snn)
+        cols = slice(2 * nl * (body - 1), 2 * nl * body)
+        t[body - 1, :, cols], tan[body - 1, :, cols] = snn, trac @ tangent
         nodes = space.cell_nodes[tri]
         dofs.append(problem.offset(body)
                     + np.stack([2 * nodes, 2 * nodes + 1], axis=-1).reshape(nseg, 2 * nl))
 
-    zero = np.zeros((ns, 2 * nl))
     return InterfaceData(
-        segments=segs,
         points=x.reshape(ns, 2),
         weights=(length[:, None] * wg[None, :]).ravel(),
         seg_of=np.repeat(np.arange(nseg), nq),
+        parents=parents,
         h1=np.repeat(np.array([s.h1 for s in segs], dtype=float), nq),
         h2=np.repeat(np.array([s.h2 for s in segs], dtype=float), nq),
         dofs=np.hstack(dofs),
         jump=np.hstack(jump),
-        t1=np.hstack([traction[0], zero]),
-        t2=np.hstack([zero, traction[1]]),
+        t1=t[0], t2=t[1], tan1=tan[0], tan2=tan[1],
         gauss=(xi, wg), n_per_seg=nq,
     )
 

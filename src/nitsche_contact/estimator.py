@@ -7,9 +7,11 @@ traction residuals.  Their squared sum is the global estimator; a
 separate globally-defined complementarity term measures pressure acting
 across an open gap.
 
-Stress traces are evaluated from per-element vertex stresses: the
-discrete stress is at most linear inside an element, so its trace along
-any edge is the linear interpolant of the two endpoint values.
+The interior and Neumann facet traces are evaluated from per-element
+vertex stresses (``_facet_traction``): the discrete stress is at most
+linear inside an element, so its trace along any edge is the linear
+interpolant of the two endpoint values.  The contact terms read the body
+tractions from the solve's own interface rows (``InterfaceData``).
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from .contact import SolveResult, combine, mortar
 from .fem import (
     FeSpace,
     MaterialParams,
+    boundary_traction,
     gauss1d,
     shape_gradients,
     shape_hessians,
@@ -31,6 +34,8 @@ from .fem import (
 )
 
 _REF_VERTICES = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+# exactness degree of the element-residual and oscillation quadrature
+VOLUME_QUAD_DEGREE = 6
 
 
 @dataclass
@@ -122,9 +127,9 @@ def stress_divergence(space: FeSpace, mat: MaterialParams, coeffs: np.ndarray) -
 
 
 def element_estimator(space: FeSpace, mat: MaterialParams, coeffs: np.ndarray,
-                      f: Optional[Callable], quad_degree: int = 6) -> np.ndarray:
+                      f: Optional[Callable]) -> np.ndarray:
     """Squared element residuals (h_K^2 / mu) ||div sigma + f||^2."""
-    pts, w = triangle_rule(quad_degree)
+    pts, w = triangle_rule(VOLUME_QUAD_DEGREE)
     div = stress_divergence(space, mat, coeffs)  # (nt, 2)
     xq = space.global_points(pts)
     if f is None:
@@ -138,101 +143,63 @@ def element_estimator(space: FeSpace, mat: MaterialParams, coeffs: np.ndarray,
     return hK**2 / mat.mu * norm2
 
 
-def _facet_gauss_stress(space, sig_vertices, facets, xi):
-    """Traction trace data on the given facets, from the first adjacent
-    element: stresses at (nf, nq, 2, 2), unit normals and lengths."""
-    mesh = space.mesh
-    tris = mesh.facet_triangles[facets, 0]
+def _facet_traction(mesh, sig, facets, side, xi):
+    """Traction sigma n at the parameters ``xi`` along each facet from the
+    vertex stresses ``sig`` of the triangle on ``side`` (0, 1, or both as
+    a leading axis), the unit normal (edge turned clockwise) and length."""
     va = mesh.facets[facets, 0]
     vb = mesh.facets[facets, 1]
-    # local index of the facet endpoints within the adjacent triangle
-    tv = mesh.triangles[tris]
-    la = (tv == va[:, None]).argmax(axis=1)
-    lb = (tv == vb[:, None]).argmax(axis=1)
-    sa = sig_vertices[tris, la]
-    sb = sig_vertices[tris, lb]
-    sig = sa[:, None] * (1 - xi)[None, :, None, None] + sb[:, None] * xi[None, :, None, None]
     e = mesh.vertices[vb] - mesh.vertices[va]
     length = np.hypot(e[:, 0], e[:, 1])
     n = np.column_stack([e[:, 1], -e[:, 0]]) / length[:, None]
-    return sig, n, length, tris
+    tris = mesh.facet_triangles[facets][:, side].T        # ([nsides,] nf)
+    # local index of the facet endpoints within the adjacent triangle
+    tv = mesh.triangles[tris]
+    la = (tv == va[:, None]).argmax(axis=-1)
+    lb = (tv == vb[:, None]).argmax(axis=-1)
+    ta = (sig[tris, la] @ n[:, :, None])[..., 0]          # ([nsides,] nf, 2)
+    tb = (sig[tris, lb] @ n[:, :, None])[..., 0]
+    tr = ta[..., None, :] * (1 - xi)[:, None] + tb[..., None, :] * xi[:, None]
+    return tr, n, length
 
 
-def interior_facet_estimator(space: FeSpace, mat: MaterialParams, sig: np.ndarray,
-                             n_gauss: Optional[int] = None) -> np.ndarray:
+def interior_facet_estimator(space: FeSpace, mat: MaterialParams, sig: np.ndarray) -> np.ndarray:
     """Squared traction-jump terms (h_E / mu) ||[sigma n]||^2 over all
     facets (zero on boundary facets); ``sig`` is ``vertex_stresses``."""
     mesh = space.mesh
-    ng = (space.degree + 1) if n_gauss is None else n_gauss
-    xi, wg = gauss1d(ng)
-
-    interior = np.flatnonzero(mesh.facet_triangles[:, 1] >= 0)
     out = np.zeros(mesh.num_facets)
-    if interior.size == 0:
-        return out
-
-    va = mesh.facets[interior, 0]
-    vb = mesh.facets[interior, 1]
-    e = mesh.vertices[vb] - mesh.vertices[va]
-    length = np.hypot(e[:, 0], e[:, 1])
-    n = np.column_stack([e[:, 1], -e[:, 0]]) / length[:, None]
-
-    jump = None
-    for side in (0, 1):
-        tris = mesh.facet_triangles[interior, side]
-        tv = mesh.triangles[tris]
-        la = (tv == va[:, None]).argmax(axis=1)
-        lb = (tv == vb[:, None]).argmax(axis=1)
-        sa = sig[tris, la]
-        sb = sig[tris, lb]
-        s = sa[:, None] * (1 - xi)[None, :, None, None] + sb[:, None] * xi[None, :, None, None]
-        tr = np.einsum("fqab,fb->fqa", s, n)
-        jump = tr if side == 0 else jump - tr
-    val = np.einsum("q,fqa,fqa->f", wg, jump, jump) * length
-    out[interior] = length / mat.mu * val
+    interior = np.flatnonzero(mesh.facet_triangles[:, 1] >= 0)
+    xi, wg = gauss1d(space.degree + 1)
+    tr, _, length = _facet_traction(mesh, sig, interior, (0, 1), xi)
+    jump = tr[0] - tr[1]
+    out[interior] = length**2 / mat.mu * np.einsum("q,fqa,fqa->f", wg, jump, jump)
     return out
 
 
-def neumann_facet_estimator(space: FeSpace, mat: MaterialParams, sig: np.ndarray,
-                            n_gauss: Optional[int] = None) -> np.ndarray:
+def neumann_facet_estimator(space: FeSpace, mat: MaterialParams, sig: np.ndarray) -> np.ndarray:
     """Squared Neumann residuals (h_E / mu) ||sigma n - g||^2 (g the
     prescribed traction, zero by default), over all facets; ``sig`` is
     ``vertex_stresses``."""
     mesh = space.mesh
     out = np.zeros(mesh.num_facets)
     neumann = mesh.facets_of_kind("neumann")
-    if neumann.size == 0:
-        return out
-    ng = (space.degree + 1) if n_gauss is None else n_gauss
-    xi, wg = gauss1d(ng)
-    s, n, length, tris = _facet_gauss_stress(space, sig, neumann, xi)
-    tr = np.einsum("fqab,fb->fqa", s, n)
-    # outward orientation: flip normals pointing into the element
-    mids = mesh.facet_midpoints()[neumann]
-    cents = mesh.vertices[mesh.triangles[tris]].mean(axis=1)
-    flip = np.einsum("fa,fa->f", n, mids - cents) < 0
-    n[flip] *= -1.0
-    tr[flip] *= -1.0
-
-    for k, f in enumerate(neumann):
-        rule = mesh.boundary_spec.rules[mesh.facet_rule[f]]
-        if rule.traction is not None:
-            a = mesh.vertices[mesh.facets[f, 0]]
-            b = mesh.vertices[mesh.facets[f, 1]]
-            pts = a[None, :] + xi[:, None] * (b - a)[None, :]
-            tr[k] -= np.asarray(rule.traction(pts), dtype=float)
-    val = np.einsum("q,fqa,fqa->f", wg, tr, tr) * length
-    out[neumann] = length / mat.mu * val
+    xi, wg = gauss1d(space.degree + 1)
+    tr, n, length = _facet_traction(mesh, sig, neumann, 0, xi)
+    # outward orientation: flip tractions whose normal points into the element
+    cents = mesh.vertices[mesh.triangles[mesh.facet_triangles[neumann, 0]]].mean(axis=1)
+    tr[np.einsum("fa,fa->f", n, mesh.facet_midpoints()[neumann] - cents) < 0] *= -1.0
+    tr -= boundary_traction(mesh, neumann, xi)
+    out[neumann] = length**2 / mat.mu * np.einsum("q,fqa,fqa->f", wg, tr, tr)
     return out
 
 
-def oscillation(space: FeSpace, f: Optional[Callable], quad_degree: int = 6) -> np.ndarray:
+def oscillation(space: FeSpace, f: Optional[Callable]) -> np.ndarray:
     """Data oscillation h_K ||f - f_h||_K with f_h the elementwise L2
     projection onto the displacement polynomial space."""
     nt = space.mesh.num_triangles
     if f is None:
         return np.zeros(nt)
-    pts, w = triangle_rule(quad_degree)
+    pts, w = triangle_rule(VOLUME_QUAD_DEGREE)
     phi = shape_values(space.degree, pts)  # (nq, nl)
     Mref = np.einsum("q,ql,qm->lm", w, phi, phi)
     # values of f_h at the quadrature points are proj @ (values of f);
@@ -255,70 +222,46 @@ def body_stresses(result: SolveResult) -> tuple:
                  for i, (space, mat) in enumerate(zip(problem.spaces, problem.materials)))
 
 
-def contact_facet_estimator(result: SolveResult, stresses: tuple):
+def contact_facet_estimator(result: SolveResult):
     """Squared contact-facet terms for both bodies plus the global
     complementarity term.
 
     Every term is integrated at the solve's own interface samples
-    (``result.data``: points, weights, parent facet sizes, and the
-    normal-displacement jump of ``result.jump_un``); their Gauss rule is
-    exact on a segment where the gap keeps its sign.  The body tractions
-    are traces of ``stresses`` (``body_stresses``), linear along each
-    parent facet.  The pressure-consistency terms are the variant's
-    ``mortar`` record: the weighted variant charges both bodies,
-    master-slave only the softer body, and the inverse-penalty variant
-    splits the weighted mean residual half/half between the parent
-    facets.  Tangential-traction and penetration terms are always
-    charged to both bodies.  A facet that parents several segments
-    collects their terms in segment order.
+    (``result.data``: points, weights, parent facets and their sizes),
+    whose Gauss rule is exact on a segment where the gap keeps its sign.
+    The body tractions, normal and tangential, and the
+    normal-displacement jump are the solve's interface rows applied to
+    ``result.u``; nothing here re-derives a trace.  The
+    pressure-consistency terms are the variant's ``mortar`` record: the
+    weighted variant charges both bodies, master-slave only the softer
+    body, and the inverse-penalty variant splits the weighted mean
+    residual half/half between the parent facets.  Tangential-traction
+    and penetration terms are always charged to both bodies.  A facet
+    that parents several segments collects their terms in segment order.
     """
     problem = result.problem
     data = result.data
     mats = problem.materials
     out = tuple(np.zeros(space.mesh.num_facets) for space in problem.spaces)
-    segs = data.segments
-    nseg = len(segs)
-    if nseg == 0:
-        return out, 0.0
-    # the interface is one straight line: every segment carries its normal
-    normal = segs[0].normal
-    parents = (np.array([s.parent1 for s in segs], dtype=int),
-               np.array([s.parent2 for s in segs], dtype=int))
+    nseg = data.parents.shape[0]
     h = (data.h1, data.h2)
     lam = result.lam
     jump = result.jump_un()
-
-    snn, tang = [], []
-    for i in range(2):
-        mesh = problem.spaces[i].mesh
-        n_body = normal if i == 0 else -normal
-        parent = parents[i][data.seg_of]
-        ends = mesh.facets[parent]                                    # (ns, 2)
-        a = mesh.vertices[ends[:, 0]]
-        e = mesh.vertices[ends[:, 1]] - a
-        tau = ((data.points - a) * e).sum(axis=1) / (e * e).sum(axis=1)
-        tri = mesh.facet_triangles[parent, 0]
-        tv = mesh.triangles[tri]
-        la = (tv == ends[:, :1]).argmax(axis=1)
-        lb = (tv == ends[:, 1:]).argmax(axis=1)
-        sig = (stresses[i][tri, la] * (1 - tau)[:, None, None]
-               + stresses[i][tri, lb] * tau[:, None, None])           # (ns, 2, 2)
-        trac = sig @ n_body
-        snn.append(trac @ n_body)
-        tang.append(trac - snn[i][:, None] * n_body)
+    snn = (result.traction_samples(1), result.traction_samples(2))
+    tang = (data.rows_dot(data.tan1, result.u), data.rows_dot(data.tan2, result.u))
 
     S2 = float((data.weights * np.maximum(jump, 0.0) * lam).sum())
-    terms = [(h[i] / mats[i].mu) * (tang[i] * tang[i]).sum(axis=1)
+    terms = [(h[i] / mats[i].mu) * tang[i] ** 2
              + (mats[i].mu / h[i]) * np.maximum(-jump, 0.0) ** 2 for i in range(2)]
     for body, weight, traction in mortar(data, mats, result.config).consistency:
         terms[body - 1] = terms[body - 1] + weight * (lam + combine(traction, *snn)) ** 2
     for i in range(2):
         per_seg = (data.weights * terms[i]).reshape(nseg, data.n_per_seg).sum(axis=1)
-        np.add.at(out[i], parents[i], per_seg)
+        np.add.at(out[i], data.parents[:, i], per_seg)
     return out, S2
 
 
-def report(result: SolveResult, quad_degree_volume: int = 6) -> EstimatorReport:
+def report(result: SolveResult) -> EstimatorReport:
     """Full estimator evaluation for a converged solve."""
     problem = result.problem
     stresses = body_stresses(result)
@@ -332,11 +275,11 @@ def report(result: SolveResult, quad_degree_volume: int = 6) -> EstimatorReport:
         off = problem.offset(i + 1)
         coeffs = result.u[off:off + space.num_dofs]
         f = problem.body_loads[i]
-        element2.append(element_estimator(space, mat, coeffs, f, quad_degree_volume))
+        element2.append(element_estimator(space, mat, coeffs, f))
         interior2.append(interior_facet_estimator(space, mat, stresses[i]))
         neumann2.append(neumann_facet_estimator(space, mat, stresses[i]))
-        osc.append(oscillation(space, f, quad_degree_volume))
-    contact2, S2 = contact_facet_estimator(result, stresses)
+        osc.append(oscillation(space, f))
+    contact2, S2 = contact_facet_estimator(result)
 
     aggregates = []
     for i in range(2):

@@ -10,6 +10,7 @@ one node per facet (edge midpoints).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -191,10 +192,6 @@ class FeSpace:
     def nodes_per_cell(self) -> int:
         return 3 if self.degree == 1 else 6
 
-    def cell_dofs(self, t: int) -> np.ndarray:
-        nodes = self.cell_nodes[t]
-        return np.stack([2 * nodes, 2 * nodes + 1], axis=1).ravel()
-
     def facet_nodes(self, f: int) -> np.ndarray:
         nodes = list(self.mesh.facets[f])
         if self.degree == 2:
@@ -202,7 +199,12 @@ class FeSpace:
         return np.array(nodes, dtype=int)
 
     def geometry(self):
-        """Affine maps of all elements: (A, invA, det) stacked over cells."""
+        """Affine maps of all elements: (A, invA, det) stacked over cells,
+        computed once per space and handed out read-only."""
+        return self._geometry
+
+    @cached_property
+    def _geometry(self):
         p = self.mesh.vertices
         t = self.mesh.triangles
         A = np.stack([p[t[:, 1]] - p[t[:, 0]], p[t[:, 2]] - p[t[:, 0]]], axis=-1)
@@ -212,6 +214,8 @@ class FeSpace:
         invA[:, 0, 1] = -A[:, 0, 1] / det
         invA[:, 1, 0] = -A[:, 1, 0] / det
         invA[:, 1, 1] = A[:, 0, 0] / det
+        for a in (A, invA, det):
+            a.setflags(write=False)
         return A, invA, det
 
     def global_points(self, ref_pts: np.ndarray) -> np.ndarray:
@@ -225,11 +229,11 @@ class FeSpace:
             + ref_pts[None, :, 1, None] * p[t[:, 2]][:, None, :]
         )
 
-    def ref_coords(self, t: int, x: np.ndarray) -> np.ndarray:
-        """Reference coordinates of physical points inside element ``t``."""
-        p = self.mesh.vertices[self.mesh.triangles[t]]
-        A = np.stack([p[1] - p[0], p[2] - p[0]], axis=-1)
-        return np.linalg.solve(A, (np.atleast_2d(x) - p[0]).T).T
+    def ref_coords(self, t, x: np.ndarray) -> np.ndarray:
+        """Reference coordinates of physical points ``x`` (..., nq, 2) inside
+        the elements ``t`` (...), by the inverse affine map."""
+        origin = self.mesh.vertices[self.mesh.triangles[t, 0]][..., None, :]
+        return (np.atleast_2d(x) - origin) @ np.swapaxes(self.geometry()[1][t], -1, -2)
 
 
 @dataclass
@@ -253,8 +257,7 @@ class FieldFunction:
     def element_gradients(self, t: int, ref_pts: np.ndarray) -> np.ndarray:
         """Displacement gradient (du_i/dx_j) at reference points: (nq, 2, 2)."""
         gref = shape_gradients(self.space.degree, ref_pts)
-        _, invA, _ = _element_geometry(self.space, t)
-        g = gref @ invA  # (nq, nl, 2) physical gradients
+        g = gref @ self.space.geometry()[1][t]  # (nq, nl, 2) physical gradients
         nodes = self.space.cell_nodes[t]
         cx = self.coeffs[2 * nodes]
         cy = self.coeffs[2 * nodes + 1]
@@ -265,14 +268,6 @@ class FieldFunction:
 
     def node_values(self) -> np.ndarray:
         return self.coeffs.reshape(-1, 2)
-
-
-def _element_geometry(space: FeSpace, t: int):
-    p = space.mesh.vertices[space.mesh.triangles[t]]
-    A = np.stack([p[1] - p[0], p[2] - p[0]], axis=-1)
-    det = A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0]
-    invA = np.array([[A[1, 1], -A[0, 1]], [-A[1, 0], A[0, 0]]]) / det
-    return A, invA, det
 
 
 # ---------------------------------------------------------------------------
@@ -363,43 +358,54 @@ def assemble_bulk(space: FeSpace, mat: MaterialParams, quad_degree: Optional[int
     return K.tocsr()
 
 
-def assemble_load(space: FeSpace, f: Callable[[np.ndarray], np.ndarray], quad_degree: int = 4) -> np.ndarray:
+def assemble_load(space: FeSpace, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
     """Load vector of a body force; ``f`` maps points (n, 2) to (n, 2)."""
-    pts, w = triangle_rule(quad_degree)
+    pts, w = triangle_rule(4)
     phi = shape_values(space.degree, pts)  # (nq, nl)
     _, _, det = space.geometry()
     xq = space.global_points(pts)  # (nt, nq, 2)
     fv = f(xq.reshape(-1, 2)).reshape(xq.shape)  # (nt, nq, 2)
     contrib = np.einsum("q,tqc,ql,t->tlc", w, fv, phi, det)  # (nt, nl, 2)
     b = np.zeros(space.num_dofs)
-    np.add.at(b, 2 * space.cell_nodes, contrib[:, :, 0])
-    np.add.at(b, 2 * space.cell_nodes + 1, contrib[:, :, 1])
+    np.add.at(b, 2 * space.cell_nodes[..., None] + np.arange(2), contrib)
     return b
 
 
-def assemble_boundary_load(space: FeSpace, n_gauss: Optional[int] = None) -> np.ndarray:
+def _facet_points(mesh: Mesh, facets: np.ndarray, xi: np.ndarray) -> np.ndarray:
+    """Points at the parameters ``xi`` along each facet, (nf, nq, 2)."""
+    a = mesh.vertices[mesh.facets[facets, 0]]
+    b = mesh.vertices[mesh.facets[facets, 1]]
+    return a[:, None, :] + xi[None, :, None] * (b - a)[:, None, :]
+
+
+def boundary_traction(mesh: Mesh, facets: np.ndarray, xi: np.ndarray) -> np.ndarray:
+    """Prescribed surface traction at the parameters ``xi`` along each
+    boundary facet, (nf, nq, 2); zero where the facet's rule has none."""
+    pts = _facet_points(mesh, facets, xi)
+    g = np.zeros_like(pts)
+    rule_of = mesh.facet_rule[facets]
+    for k, rule in enumerate(mesh.boundary_spec.rules):
+        on = rule_of == k
+        if rule.traction is not None and on.any():
+            values = rule.traction(pts[on].reshape(-1, 2))
+            g[on] = np.asarray(values, dtype=float).reshape(-1, len(xi), 2)
+    return g
+
+
+def assemble_boundary_load(space: FeSpace) -> np.ndarray:
     """Surface load from the tractions attached to Neumann rules."""
     mesh = space.mesh
     if mesh.boundary_spec is None:
         raise ValueError("mesh is not classified")
+    xi, wg = gauss1d(space.degree + 1)
+    facets = mesh.boundary_facets()
+    g = boundary_traction(mesh, facets, xi)                       # (nf, nq, 2)
+    tri = mesh.facet_triangles[facets, 0]
+    ref = space.ref_coords(tri, _facet_points(mesh, facets, xi))
+    phi = shape_values(space.degree, ref.reshape(-1, 2)).reshape(len(facets), len(xi), -1)
+    contrib = np.einsum("q,fql,fqc,f->flc", wg, phi, g, mesh.facet_lengths()[facets])
     b = np.zeros(space.num_dofs)
-    ng = (space.degree + 1) if n_gauss is None else n_gauss
-    xi, wg = gauss1d(ng)
-    for f in mesh.boundary_facets():
-        rule = mesh.boundary_spec.rules[mesh.facet_rule[f]]
-        if rule.traction is None:
-            continue
-        a = mesh.vertices[mesh.facets[f, 0]]
-        c = mesh.vertices[mesh.facets[f, 1]]
-        pts = a[None, :] + xi[:, None] * (c - a)[None, :]
-        g = np.asarray(rule.traction(pts), dtype=float)
-        length = float(np.hypot(*(c - a)))
-        tri = mesh.facet_triangles[f, 0]
-        ref = space.ref_coords(tri, pts)
-        phi = shape_values(space.degree, ref)
-        nodes = space.cell_nodes[tri]
-        for comp in range(2):
-            np.add.at(b, 2 * nodes + comp, length * (wg[:, None] * phi * g[:, [comp]]).sum(axis=0))
+    np.add.at(b, 2 * space.cell_nodes[tri][..., None] + np.arange(2), contrib)
     return b
 
 

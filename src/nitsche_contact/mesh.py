@@ -65,12 +65,6 @@ class BoundaryRule:
 class BoundarySpec:
     rules: tuple
 
-    def rule_index(self, name: str) -> int:
-        for k, rule in enumerate(self.rules):
-            if rule.name == name:
-                return k
-        raise KeyError(name)
-
 
 @dataclass(frozen=True)
 class Mesh:

@@ -5,7 +5,8 @@ the plain form of the formulas; the package forms the same terms batched
 over all samples.  Both must agree to rounding on random active sets,
 every variant, P1 and P2, and either treatment of the inactive samples.
 The contact-facet estimator and the interface intersection are checked
-the same way against loops over segments and facets.
+the same way against loops over segments and facets, and the segments
+are checked to tile the overlap of the two contact traces.
 """
 
 from dataclasses import replace
@@ -28,7 +29,7 @@ from nitsche_contact.contact import (
     bulk_system,
     solve,
 )
-from nitsche_contact.estimator import body_stresses, contact_facet_estimator, vertex_stresses
+from nitsche_contact.estimator import contact_facet_estimator, vertex_stresses
 from nitsche_contact.fem import (
     constrain,
     elastic_moduli_rows,
@@ -36,7 +37,13 @@ from nitsche_contact.fem import (
     shape_gradients,
     shape_values,
 )
-from nitsche_contact.mesh import CONTACT, bisect_refine, build_interface, geometric_tolerance
+from nitsche_contact.mesh import (
+    CONTACT,
+    audit_interface,
+    bisect_refine,
+    build_interface,
+    geometric_tolerance,
+)
 from nitsche_contact.oracle import build_mixed_system
 
 RTOL = 1e-12
@@ -56,12 +63,16 @@ def close(a, b):
 
 
 def reference_rows(problem):
-    """Jump and traction rows of every sample, one sample at a time."""
+    """Jump, normal traction and tangential traction rows of every sample,
+    one sample at a time; the tangent is the normal out of body 1 turned
+    counterclockwise."""
     data = build_interface_data(problem)
     nl = problem.spaces[0].nodes_per_cell
-    jump, t1, t2 = (np.zeros_like(data.jump) for _ in range(3))
+    jump, t1, t2, tan1, tan2 = (np.zeros_like(data.jump) for _ in range(5))
     for i, x in enumerate(data.points):
-        seg = data.segments[data.seg_of[i]]
+        seg = problem.segments[data.seg_of[i]]
+        assert tuple(data.parents[data.seg_of[i]]) == (seg.parent1, seg.parent2)
+        tau = np.array([-seg.normal[1], seg.normal[0]])
         for body, parent in ((1, seg.parent1), (2, seg.parent2)):
             space = problem.spaces[body - 1]
             mesh = space.mesh
@@ -72,13 +83,15 @@ def reference_rows(problem):
             phi = shape_values(problem.degree, ref[None])[0]
             g = shape_gradients(problem.degree, ref[None]) @ np.linalg.inv(A)
             n = seg.normal if body == 1 else -seg.normal
-            snn, _ = elastic_moduli_rows(g, n, problem.materials[body - 1])
+            snn, trac = elastic_moduli_rows(g, n, problem.materials[body - 1])
             lo = (body - 1) * 2 * nl
             for node in range(nl):
                 for c in range(2):
-                    jump[i, lo + 2 * node + c] = -phi[node] * n[c]
+                    j = 2 * node + c
+                    jump[i, lo + j] = -phi[node] * n[c]
+                    (tan1 if body == 1 else tan2)[i, lo + j] = trac[0, j] @ tau
             (t1 if body == 1 else t2)[i, lo:lo + 2 * nl] = snn[0]
-    return jump, t1, t2
+    return jump, t1, t2, tan1, tan2
 
 
 def reference_weights(data, materials, config, i):
@@ -160,7 +173,8 @@ def test_batched_kernels_match_sample_loops(case, draw):
     active = np.array(draw.draw(st.lists(st.booleans(), min_size=ns, max_size=ns)))
     u = np.random.default_rng(ns).standard_normal(n)
 
-    for rows, ref in zip((data.jump, data.t1, data.t2), reference_rows(problem)):
+    for rows, ref in zip((data.jump, data.t1, data.t2, data.tan1, data.tan2),
+                         reference_rows(problem)):
         assert close(rows, ref)
         looped = np.array([ref[i] @ u[data.dofs[data.seg_of[i]]] for i in range(ns)])
         assert close(data.rows_dot(rows, u), looped)
@@ -195,7 +209,8 @@ class TestProblemCache:
         assert build_interface_data(problem) is data
         assert problem.fixed_mask() is problem.fixed_mask()
         for arr in (A.data, A.indices, A.indptr, b, problem.fixed_mask(),
-                    data.points, data.weights, data.dofs, data.jump, data.t1, data.t2):
+                    data.points, data.weights, data.parents, data.dofs, data.jump,
+                    data.t1, data.t2, data.tan1, data.tan2):
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr[0] = arr[0]
@@ -236,7 +251,7 @@ def reference_contact_estimator(result, n_gauss=None):
     xi0, _ = data.gauss
     xi, wg = data.gauss if n_gauss is None else gauss1d(n_gauss)
     S2 = 0.0
-    for s, seg in enumerate(data.segments):
+    for s, seg in enumerate(problem.segments):
         pts = seg.p0 + xi[:, None] * (seg.p1 - seg.p0)
         wq = wg * seg.length
         samples = result.lam[s * data.n_per_seg:(s + 1) * data.n_per_seg]
@@ -292,7 +307,7 @@ def test_contact_estimator_matches_segment_loop(case, seed):
     result = SolveResult(problem=problem, config=config, data=data,
                          u=1e-3 * rng.standard_normal(problem.num_dofs), active=None,
                          lam=rng.standard_normal(data.num_samples), iterations=1, history=[])
-    (c1, c2), S2 = contact_facet_estimator(result, body_stresses(result))
+    (c1, c2), S2 = contact_facet_estimator(result)
     (r1, r2), rS2 = reference_contact_estimator(result)
     assert close(c1, r1) and close(c2, r2)
     assert S2 == pytest.approx(rS2, rel=RTOL, abs=RTOL * (abs(result.lam).max() + 1.0))
@@ -329,17 +344,27 @@ def reference_interface(mesh1, mesh2):
     return segments
 
 
-@settings(max_examples=20, deadline=None)
-@given(pair=st.tuples(st.tuples(st.integers(1, 4), st.integers(1, 4)),
-                     st.tuples(st.integers(1, 4), st.sampled_from((4, 8)))),
-       rounds=st.lists(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8), max_size=3))
-def test_interface_matches_facet_loop(pair, rounds):
+pressing_pairs = st.tuples(st.tuples(st.integers(1, 4), st.integers(1, 4)),
+                           st.tuples(st.integers(1, 4), st.sampled_from((4, 8))))
+refinements = st.lists(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8), max_size=3)
+
+
+def refined_pressing_meshes(pair, rounds):
+    """The pressing pair ``pair``, refined once per round at the triangles
+    whose ids are the round's fractions of the triangle count."""
     setup = make_experiment("pressing")
     meshes = list(initial_meshes(setup, pair))
     for marks in rounds:
         meshes = [bisect_refine(m, np.unique((np.array(marks) * m.num_triangles).astype(int)
                                              .clip(0, m.num_triangles - 1)))
                   for m in meshes]
+    return meshes
+
+
+@settings(max_examples=20, deadline=None)
+@given(pair=pressing_pairs, rounds=refinements)
+def test_interface_matches_facet_loop(pair, rounds):
+    meshes = refined_pressing_meshes(pair, rounds)
     for m1, m2 in (meshes, meshes[::-1]):
         segments = build_interface(m1, m2)
         ref = reference_interface(m1, m2)
@@ -347,3 +372,29 @@ def test_interface_matches_facet_loop(pair, rounds):
         for seg, (p0, p1, f1, f2, h1, h2) in zip(segments, ref):
             assert np.array_equal(seg.p0, p0) and np.array_equal(seg.p1, p1)
             assert (seg.parent1, seg.parent2, seg.h1, seg.h2) == (f1, f2, h1, h2)
+
+
+@settings(max_examples=20, deadline=None)
+@given(pair=pressing_pairs, rounds=refinements)
+def test_segments_tile_the_overlap(pair, rounds):
+    meshes = refined_pressing_meshes(pair, rounds)
+    for m1, m2 in (meshes, meshes[::-1]):
+        segments = build_interface(m1, m2)
+        tol = geometric_tolerance(m1, m2)
+        d = segments[0].p1 - segments[0].p0
+        d = d / np.hypot(*d)
+        # the overlap runs from the later start to the earlier end of the traces
+        starts, ends = [], []
+        for mesh in (m1, m2):
+            pts = mesh.vertices[mesh.facets[mesh.facets_of_kind(CONTACT)]].reshape(-1, 2)
+            t = pts @ d
+            starts.append(pts[np.argmin(t)])
+            ends.append(pts[np.argmax(t)])
+        start = max(starts, key=lambda p: p @ d)
+        end = min(ends, key=lambda p: p @ d)
+        assert np.hypot(*(segments[0].p0 - start)) <= tol
+        assert np.hypot(*(segments[-1].p1 - end)) <= tol
+        for seg, after in zip(segments[:-1], segments[1:]):
+            assert np.array_equal(seg.p1, after.p0)
+        assert all((seg.p1 - seg.p0) @ d > tol for seg in segments)
+        audit_interface(segments, m1, m2)

@@ -139,6 +139,46 @@ class TestPositiveFloatFlags:
         assert not (tmp_path / "out").exists()
 
 
+class TestNumericFlags:
+    @pytest.mark.parametrize("command, flag, value", [
+        ("verify", "--oracle-instances", "-1"),
+        ("verify", "--oracle-instances", "1.5"),
+        ("study", "--theta", "1.5"),
+        ("study", "--theta", "0"),
+        ("study", "--theta", "1"),
+        ("study", "--theta", "nan"),
+        ("study", "--max-dofs", "-5"),
+        ("study", "--max-dofs", "0"),
+    ])
+    def test_bad_value_is_usage_error(self, tmp_path, capsys, command, flag, value):
+        out = [] if command == "verify" else ["--out", str(tmp_path / "out")]
+        with pytest.raises(SystemExit) as err:
+            main([command, flag, value] + out)
+        assert err.value.code == 2
+        assert flag in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("line, key", [
+        ("oracle-instances=-1", "oracle_instances"),
+        ("theta=1.5", "theta"),
+        ("max-dofs=-5", "max_dofs"),
+    ])
+    def test_bad_value_in_config_is_usage_error(self, tmp_path, capsys, line, key):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        with pytest.raises(SystemExit) as err:
+            main(["--config", str(cfg), "study", "--out", str(tmp_path / "out")])
+        assert err.value.code == 2
+        assert repr(key) in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_parsed_values(self):
+        args = build_parser().parse_args(["study", "--theta", "0.25", "--max-dofs", "7"])
+        assert (args.theta, args.max_dofs) == (0.25, 7)
+        args = build_parser().parse_args(["verify", "--oracle-instances", "0"])
+        assert args.oracle_instances == 0
+
+
 class TestConfigFile:
     def test_flags_override_file(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

@@ -12,9 +12,11 @@ from nitsche_contact.fem import (
     assemble_load,
     constrain,
     dirichlet_mask,
+    elastic_moduli_rows,
     expand,
     gauss1d,
     interpolate,
+    shape_gradients,
     shape_values,
     strain,
     stress,
@@ -140,6 +142,28 @@ class TestStrainStress:
         )
 
 
+class TestElasticModuliRows:
+    @pytest.mark.parametrize("degree", [1, 2])
+    def test_rows_are_the_traction_of_each_unit_dof(self, degree):
+        space = FeSpace.build(body1_mesh(2, 2), degree)
+        rng = np.random.default_rng(degree)
+        for t in rng.choice(space.mesh.num_triangles, size=3, replace=False):
+            ref = rng.dirichlet(np.ones(3), size=4)[:, 1:]        # points inside the triangle
+            th = rng.uniform(0.0, 2 * np.pi)
+            n = np.array([np.cos(th), np.sin(th)])
+            g = shape_gradients(degree, ref) @ space.geometry()[1][t]
+            snn, trac = elastic_moduli_rows(g, n, STEEL_LIKE)
+            nodes = space.cell_nodes[t]
+            for j in range(2 * space.nodes_per_cell):
+                unit = np.zeros(space.num_dofs)
+                unit[2 * nodes[j // 2] + j % 2] = 1.0
+                field = FieldFunction(space, unit)
+                for q in range(len(ref)):
+                    expect = stress(STEEL_LIKE, strain(field, t, ref[q])) @ n
+                    assert np.allclose(trac[q, j], expect, rtol=0.0, atol=1e-12)
+                    assert snn[q, j] == pytest.approx(expect @ n, rel=1e-12, abs=1e-12)
+
+
 class TestTractionSplit:
     def test_uniaxial_compression_body1(self):
         sigma = np.array([[-1.0, 0.0], [0.0, 0.0]])
@@ -258,6 +282,25 @@ class TestBoundaryLoad:
             # resultant = traction times the loaded edge length
             assert b[0::2].sum() == pytest.approx(2.0 * 0.5, rel=1e-13)
             assert abs(b[1::2].sum()) < 1e-14
+
+
+    @pytest.mark.parametrize("degree", [1, 2])
+    def test_linear_traction_work(self, degree):
+        # b . v is the work of g = (y, x) on the loaded edge x = 0.5 against
+        # the interpolated v = (y, 0): the integral of y^2 over [0.25, 0.75]
+        rules = (
+            BoundaryRule("pull", NEUMANN, lambda m: np.abs(m[:, 0] - 0.5) < 1e-9,
+                         traction=lambda x: x[:, ::-1].copy()),
+            BoundaryRule("rest", NEUMANN, lambda m: np.abs(m[:, 0] - 0.5) >= 1e-9),
+        )
+        from nitsche_contact.mesh import generate_block_mesh
+
+        m = generate_block_mesh((0.5, 1.0, 0.25, 0.75), 2, 3)
+        m = classify_boundary(m, BoundarySpec(rules))
+        space = FeSpace.build(m, degree)
+        v = interpolate(space, lambda x: np.column_stack([x[:, 1], np.zeros(len(x))]))
+        work = assemble_boundary_load(space) @ v
+        assert work == pytest.approx((0.75**3 - 0.25**3) / 3, rel=1e-13)
 
 
 class TestDirichlet:
