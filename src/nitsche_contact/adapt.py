@@ -173,13 +173,18 @@ def make_problem(setup: ExperimentSetup, mesh1: Mesh, mesh2: Mesh, degree: int) 
 
 def mark_dorfler(report_or_indicators, theta: float) -> np.ndarray:
     """Smallest prefix of descending indicators carrying a ``theta``
-    fraction of the total; ties break towards lower triangle ids."""
+    fraction of the total; ties break towards lower triangle ids.  An
+    empty array and NaN, infinite or negative indicators are rejected."""
     if not (0.0 < theta < 1.0):
         raise ValueError(f"marking fraction must be in (0, 1), got {theta}")
     if isinstance(report_or_indicators, EstimatorReport):
         indicators = report_or_indicators.aggregate
     else:
         indicators = np.asarray(report_or_indicators, dtype=float)
+    if indicators.size == 0:
+        raise ValueError("no indicators to mark")
+    if not (np.isfinite(indicators).all() and (indicators >= 0).all()):
+        raise ValueError("indicators must be finite and non-negative")
     order = np.lexsort((np.arange(len(indicators)), -indicators))
     csum = np.cumsum(indicators[order])
     total = csum[-1]

@@ -570,7 +570,8 @@ def solve(config: NitscheConfig, problem: ContactProblem) -> SolveResult:
     for it in range(1, config.max_iterations + 1):
         Af = Af0 + assemble_nitsche(reduced, problem.materials, config, active, free.size)
         u = expand(_solve_reduced(Af, bf), free, problem.num_dofs)
-        new_active = detect_active_set(data, problem.materials, config, u)
+        lh = lh_values(data, problem.materials, config, u)
+        new_active = lh > 0.0
         unorm = float(np.linalg.norm(u))
         rel = (
             float(np.linalg.norm(u - u_prev)) / unorm
@@ -579,10 +580,9 @@ def solve(config: NitscheConfig, problem: ContactProblem) -> SolveResult:
         )
         history.append({"iteration": it, "n_active": int(new_active.sum()), "rel_update": rel})
         if np.array_equal(new_active, active):
-            lam = reconstruct_lambda(data, problem.materials, config, u)
             return SolveResult(
                 problem=problem, config=config, data=data, u=u,
-                active=active, lam=lam, iterations=it, history=history,
+                active=active, lam=np.maximum(lh, 0.0), iterations=it, history=history,
             )
         key = new_active.tobytes()
         if key in seen:

@@ -30,6 +30,7 @@ from .fem import (
     shape_gradients,
     shape_hessians,
     shape_values,
+    stress,
     triangle_rule,
 )
 
@@ -88,42 +89,28 @@ class EstimatorReport:
         return float(np.sqrt(sum((a**2).sum() for a in self.osc)))
 
 
+def _cell_coefficients(space: FeSpace, coeffs: np.ndarray) -> np.ndarray:
+    """Coefficients of the local scalar basis per component, (nt, 2, nl)."""
+    return coeffs[2 * space.cell_nodes[:, None, :] + np.arange(2)[:, None]]
+
+
 def vertex_stresses(space: FeSpace, mat: MaterialParams, coeffs: np.ndarray) -> np.ndarray:
     """Stress tensor at the three vertices of every element, (nt, 3, 2, 2)."""
-    gref = shape_gradients(space.degree, _REF_VERTICES)  # (3, nl, 2)
-    _, invA, _ = space.geometry()
-    g = np.einsum("qld,tde->tqle", gref, invA)  # (nt, 3, nl, 2)
-    cx = coeffs[2 * space.cell_nodes]
-    cy = coeffs[2 * space.cell_nodes + 1]
-    grad = np.empty((space.mesh.num_triangles, 3, 2, 2))
-    grad[:, :, 0, :] = np.einsum("tqld,tl->tqd", g, cx)
-    grad[:, :, 1, :] = np.einsum("tqld,tl->tqd", g, cy)
-    eps = 0.5 * (grad + np.swapaxes(grad, 2, 3))
-    tr = eps[..., 0, 0] + eps[..., 1, 1]
-    sig = 2.0 * mat.mu * eps
-    sig[..., 0, 0] += mat.lam * tr
-    sig[..., 1, 1] += mat.lam * tr
-    return sig
+    g = shape_gradients(space.degree, _REF_VERTICES) @ space.geometry()[1][:, None]
+    return stress(mat, _cell_coefficients(space, coeffs)[:, None] @ g)    # (nt, 3, 2, 2)
 
 
 def stress_divergence(space: FeSpace, mat: MaterialParams, coeffs: np.ndarray) -> np.ndarray:
-    """Elementwise-constant divergence of the discrete stress, (nt, 2)."""
-    Href = shape_hessians(space.degree)  # (nl, 2, 2)
+    """Elementwise-constant divergence of the discrete stress, (nt, 2):
+    sigma is linear, so (div sigma(u))_a = sum_j sigma(d_j grad u)_aj."""
     _, invA, _ = space.geometry()
-    # physical Hessian: invA^T H invA per element and basis function
-    H = np.einsum("tda,lde,teb->tlab", invA, Href, invA)
-    cx = coeffs[2 * space.cell_nodes]
-    cy = coeffs[2 * space.cell_nodes + 1]
-    lap = H[..., 0, 0] + H[..., 1, 1]  # (nt, nl)
-    div = np.empty((space.mesh.num_triangles, 2))
-    # div sigma(u)_k = mu lap(u_k) + (mu + lam) d_k (div u)
-    for k in range(2):
-        div[:, k] = mat.mu * (
-            np.einsum("tl,tl->t", lap, cx if k == 0 else cy)
-        ) + (mat.mu + mat.lam) * (
-            np.einsum("tl,tl->t", H[..., k, 0], cx) + np.einsum("tl,tl->t", H[..., k, 1], cy)
-        )
-    return div
+    # physical Hessians invA^T H invA per element and basis function, (nt, nl, 2, 2)
+    H = invA.swapaxes(1, 2)[:, None] @ shape_hessians(space.degree) @ invA[:, None]
+    nt, nl = H.shape[:2]
+    # d_j grad u as (nt, j, c, b): Hessians are symmetric, so H_bj = H_jb
+    dgrad = (_cell_coefficients(space, coeffs) @ H.reshape(nt, nl, 4)).reshape(nt, 2, 2, 2)
+    sig = stress(mat, dgrad.swapaxes(1, 2))                 # (nt, j, a, b)
+    return sig[:, 0, :, 0] + sig[:, 1, :, 1]
 
 
 def element_estimator(space: FeSpace, mat: MaterialParams, coeffs: np.ndarray,

@@ -5,6 +5,10 @@ Scalar basis functions live on the reference triangle with vertices
 components of each scalar node, ``dof = 2 * node + component``.  For
 quadratic elements the scalar nodes are the mesh vertices followed by
 one node per facet (edge midpoints).
+
+Hooke's law is written once, in ``stress``, batched and applied to
+displacement gradients: those of the local unit dofs (``_unit_gradients``)
+for the stiffness matrix and the traction rows, a field's for the estimator.
 """
 
 from __future__ import annotations
@@ -143,10 +147,6 @@ def gauss1d(n: int):
     return 0.5 * (x + 1.0), 0.5 * w
 
 
-def bulk_quadrature_degree(p: int) -> int:
-    return 2 if p == 1 else 4
-
-
 # ---------------------------------------------------------------------------
 # finite element space
 # ---------------------------------------------------------------------------
@@ -256,15 +256,9 @@ class FieldFunction:
 
     def element_gradients(self, t: int, ref_pts: np.ndarray) -> np.ndarray:
         """Displacement gradient (du_i/dx_j) at reference points: (nq, 2, 2)."""
-        gref = shape_gradients(self.space.degree, ref_pts)
-        g = gref @ self.space.geometry()[1][t]  # (nq, nl, 2) physical gradients
+        g = shape_gradients(self.space.degree, ref_pts) @ self.space.geometry()[1][t]
         nodes = self.space.cell_nodes[t]
-        cx = self.coeffs[2 * nodes]
-        cy = self.coeffs[2 * nodes + 1]
-        grad = np.empty((ref_pts.shape[0], 2, 2))
-        grad[:, 0, :] = np.einsum("qld,l->qd", g, cx)
-        grad[:, 1, :] = np.einsum("qld,l->qd", g, cy)
-        return grad
+        return self.coeffs[2 * nodes + np.arange(2)[:, None]] @ g   # (2, nl) @ (nq, nl, 2)
 
     def node_values(self) -> np.ndarray:
         return self.coeffs.reshape(-1, 2)
@@ -281,9 +275,21 @@ def strain(field: FieldFunction, t: int, ref_pt) -> np.ndarray:
 
 
 def stress(mat: MaterialParams, eps: np.ndarray) -> np.ndarray:
-    """Plane-strain stress 2 mu eps + lambda tr(eps) I."""
+    """Plane-strain stress 2 mu eps + lambda tr(eps) I, batched over the
+    leading axes of ``eps`` (..., 2, 2).  The argument is symmetrised, so a
+    displacement gradient may stand in for its strain."""
     eps = np.asarray(eps, dtype=float)
-    return 2.0 * mat.mu * eps + mat.lam * np.trace(eps) * np.eye(2)
+    tr = eps[..., 0, 0] + eps[..., 1, 1]
+    return mat.mu * (eps + np.swapaxes(eps, -1, -2)) + mat.lam * tr[..., None, None] * np.eye(2)
+
+
+def _unit_gradients(grads: np.ndarray) -> np.ndarray:
+    """Displacement gradients e_c (x) grad phi_l of the local vector dofs
+    2 l + c, from scalar gradients (..., nl, 2) to (..., 2 nl, 2, 2)."""
+    G = np.zeros(grads.shape[:-1] + (2, 2, 2))
+    G[..., 0, 0, :] = grads
+    G[..., 1, 1, :] = grads
+    return G.reshape(grads.shape[:-2] + (-1, 2, 2))
 
 
 def traction_split(sigma: np.ndarray, n: np.ndarray, body: int):
@@ -310,18 +316,8 @@ def elastic_moduli_rows(grads: np.ndarray, n: np.ndarray, mat: MaterialParams):
     (nq, 2 * nl) ordered like the local vector dofs, and ``trac`` of
     shape (nq, 2 * nl, 2) giving the traction vector of each unit dof.
     """
-    nq, nl, _ = grads.shape
-    gn = grads @ n  # (nq, nl)
-    snn = np.empty((nq, 2 * nl))
-    trac = np.empty((nq, 2 * nl, 2))
-    for c in range(2):
-        snn[:, c::2] = 2.0 * mat.mu * n[c] * gn + mat.lam * grads[:, :, c]
-        for d in range(2):
-            trac[:, c::2, d] = (
-                mat.mu * ((1.0 if c == d else 0.0) * gn + grads[:, :, d] * n[c])
-                + mat.lam * grads[:, :, c] * n[d]
-            )
-    return snn, trac
+    trac = stress(mat, _unit_gradients(grads)) @ n
+    return trac @ n, trac
 
 
 # ---------------------------------------------------------------------------
@@ -329,31 +325,23 @@ def elastic_moduli_rows(grads: np.ndarray, n: np.ndarray, mat: MaterialParams):
 # ---------------------------------------------------------------------------
 
 def assemble_bulk(space: FeSpace, mat: MaterialParams, quad_degree: Optional[int] = None) -> sp.csr_matrix:
-    """Stiffness matrix of the elasticity form over one body."""
+    """Stiffness matrix of the elasticity form over one body: the local
+    matrix is sum_q w_q det sigma(G_i) : G_j over the unit-dof gradients G.
+    The default rule is exact on affine elements, degree 2 (p - 1)."""
     p = space.degree
-    qd = bulk_quadrature_degree(p) if quad_degree is None else quad_degree
-    pts, w = triangle_rule(qd)
-    gref = shape_gradients(p, pts)  # (nq, nl, 2)
+    pts, w = triangle_rule(2 * (p - 1) if quad_degree is None else quad_degree)
     _, invA, det = space.geometry()
-    # physical gradients per element: (nt, nq, nl, 2)
-    g = np.einsum("qld,tde->tqle", gref, invA)
+    G = _unit_gradients(shape_gradients(p, pts) @ invA[:, None])     # (nt, nq, 2 nl, 2, 2)
+    S = stress(mat, G) * (w * det[:, None])[..., None, None, None]
+    nt, nq, nd = G.shape[:3]
+    # contract over (q, a, b) in one matmul per body
+    flat = lambda X: X.swapaxes(1, 2).reshape(nt, nd, 4 * nq)
+    local = flat(S) @ flat(G).swapaxes(1, 2)
+    del G, S  # free the per-point arrays before the sparse conversion peaks
 
-    nl = space.nodes_per_cell
-    nt = space.mesh.num_triangles
-    local = np.zeros((nt, 2 * nl, 2 * nl))
-    for a in range(2):
-        for b in range(2):
-            # mu (delta_ab grad.grad + d_a phi_j d_b phi_i) + lam d_b phi_j d_a phi_i
-            cross = np.einsum("q,tqm,tql->tlm", w, g[..., a], g[..., b])
-            div = np.einsum("q,tqm,tql->tlm", w, g[..., b], g[..., a])
-            block = mat.mu * cross + mat.lam * div
-            if a == b:
-                block = block + mat.mu * np.einsum("q,tqld,tqmd->tlm", w, g, g)
-            local[:, a::2, b::2] = block * det[:, None, None]
-
-    dofs = np.stack([2 * space.cell_nodes, 2 * space.cell_nodes + 1], axis=2).reshape(nt, 2 * nl)
-    rows = np.repeat(dofs, 2 * nl, axis=1).ravel()
-    cols = np.tile(dofs, (1, 2 * nl)).ravel()
+    dofs = np.stack([2 * space.cell_nodes, 2 * space.cell_nodes + 1], axis=2).reshape(nt, nd)
+    rows = np.repeat(dofs, nd, axis=1).ravel()
+    cols = np.tile(dofs, (1, nd)).ravel()
     K = sp.coo_matrix((local.ravel(), (rows, cols)), shape=(space.num_dofs, space.num_dofs))
     return K.tocsr()
 

@@ -20,6 +20,7 @@ of two interval partitions of that line.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -116,13 +117,16 @@ class Mesh:
         return 0.5 * (self.vertices[self.facets[:, 0]] + self.vertices[self.facets[:, 1]])
 
     def triangle_diameters(self) -> np.ndarray:
-        """Element diameter, i.e. the longest edge."""
-        p = self.vertices
-        t = self.triangles
-        d = np.zeros(t.shape[0])
-        for a, b in ((0, 1), (1, 2), (2, 0)):
-            e = p[t[:, b]] - p[t[:, a]]
-            d = np.maximum(d, np.hypot(e[:, 0], e[:, 1]))
+        """Element diameter, i.e. the longest edge; computed once per mesh
+        and handed out read-only."""
+        return self._diameters
+
+    @cached_property
+    def _diameters(self) -> np.ndarray:
+        p = self.vertices[self.triangles]                      # (nt, 3, 2)
+        e = p - np.roll(p, 1, axis=1)
+        d = np.hypot(e[..., 0], e[..., 1]).max(axis=1)
+        d.setflags(write=False)
         return d
 
     def boundary_facets(self) -> np.ndarray:

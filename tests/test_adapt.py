@@ -1,7 +1,10 @@
 import dataclasses
+from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import nitsche_contact.adapt as adapt
 from nitsche_contact.adapt import (
@@ -70,6 +73,32 @@ class TestDorfler:
             if vals[idx].sum() >= theta * total - 1e-12:
                 best = len(idx) if best is None else min(best, len(idx))
         assert len(marked) == best
+
+    @pytest.mark.parametrize("bad", [[1.0, np.nan, 2.0], [np.nan] * 3, [1.0, np.inf, 2.0],
+                                     [1.0, -5.0, 2.0], []])
+    def test_rejects_indicators_it_cannot_honour(self, bad):
+        with pytest.raises(ValueError, match="indicators"):
+            mark_dorfler(np.array(bad), 0.5)
+
+    def test_all_zero_marks_the_first(self):
+        assert list(mark_dorfler(np.zeros(4), 0.5)) == [0]
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.integers(0, 4), min_size=1, max_size=7),
+           st.floats(0.01, 0.99), st.integers(-10, 10))
+    def test_marked_set_is_minimal(self, counts, theta, exponent):
+        # small integers times a power of two give ties and zeros with exact
+        # sums in any order; among the smallest sets carrying the fraction,
+        # the marked one has the largest sum and, of those, the lowest ids
+        vals = np.array(counts, dtype=float) * 2.0 ** exponent
+        total = vals.sum()
+        need = theta * total - 1e-15 * abs(total)
+        for k in range(1, len(vals) + 1):
+            sets = [c for c in combinations(range(len(vals)), k) if vals[list(c)].sum() >= need]
+            if sets:
+                break
+        best = min(sets, key=lambda c: (-vals[list(c)].sum(), c))
+        assert tuple(mark_dorfler(vals, theta)) == best
 
 
 class TestRegression:

@@ -76,8 +76,9 @@ class TestElement:
         )
         div = stress_divergence(space, MAT, coeffs)
         f = lambda x, d=div: -np.repeat(d[:1], len(x), axis=0)
-        # divergence is the same constant on every element for a global quadratic
-        assert np.allclose(div, div[0], atol=1e-12)
+        # div sigma = (4 mu + 2 lam, 4 mu + 3 lam) on every element
+        expect = [4 * MAT.mu + 2 * MAT.lam, 4 * MAT.mu + 3 * MAT.lam]
+        assert np.allclose(div, expect, rtol=0, atol=1e-12)
         eta = element_estimator(space, MAT, coeffs, f)
         assert np.abs(eta).max() < 1e-24
 

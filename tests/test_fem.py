@@ -128,6 +128,19 @@ class TestStrainStress:
         eps = np.array([[1.0, 0.0], [0.0, -1.0]])
         assert np.allclose(stress(STEEL_LIKE, eps), 2 * STEEL_LIKE.mu * eps, rtol=1e-14)
 
+    def test_stress_of_a_stack_equals_each_tensor(self):
+        eps = np.random.default_rng(4).standard_normal((3, 5, 2, 2))
+        eps = eps + np.swapaxes(eps, -1, -2)
+        sig = stress(STEEL_LIKE, eps)
+        assert sig.shape == eps.shape
+        for idx in np.ndindex(eps.shape[:2]):
+            assert np.array_equal(sig[idx], stress(STEEL_LIKE, eps[idx]))
+
+    def test_stress_of_a_gradient_is_stress_of_its_strain(self):
+        grad = np.random.default_rng(5).standard_normal((4, 2, 2))
+        eps = 0.5 * (grad + np.swapaxes(grad, -1, -2))
+        assert np.allclose(stress(STEEL_LIKE, grad), stress(STEEL_LIKE, eps), rtol=0, atol=1e-14)
+
     def test_stress_linearity(self):
         rng = np.random.RandomState(1)
         e1 = rng.randn(2, 2)
@@ -234,13 +247,39 @@ class TestBulk:
         assert d < 1e-12 * abs(K).max()
 
     def test_quadrature_saturation(self):
-        # raising the rule two degrees must not change the entries
-        for p, qd in ((1, 2), (2, 4)):
+        # raising the rule two degrees must not change the entries; the
+        # default rule (None) is exact, degree 2 (p - 1)
+        for p, qd, higher in ((1, 2, 4), (2, 4, 6), (1, None, 2), (2, None, 4)):
             space = FeSpace.build(body1_mesh(2, 2), p)
             K1 = assemble_bulk(space, STEEL_LIKE, quad_degree=qd)
-            K2 = assemble_bulk(space, STEEL_LIKE, quad_degree=qd + 2)
+            K2 = assemble_bulk(space, STEEL_LIKE, quad_degree=higher)
             scale = abs(K1).max()
             assert abs(K1 - K2).max() < 1e-12 * scale
+
+    @pytest.mark.parametrize("degree", [1, 2])
+    def test_entries_are_the_energy_of_unit_dof_pairs(self, degree):
+        # K_ij = int sigma(u_i) : eps(u_j) over the elements sharing both dofs,
+        # from unit-dof fields and the single-tensor law at a degree-6 rule
+        space = FeSpace.build(body1_mesh(2, 2), degree)
+        K = assemble_bulk(space, STEEL_LIKE).toarray()
+        pts, w = triangle_rule(6)
+        det = space.geometry()[2]
+        rng = np.random.default_rng(degree)
+        for t in rng.choice(space.mesh.num_triangles, size=3, replace=False):
+            nodes = space.cell_nodes[t]
+            dofs = np.stack([2 * nodes, 2 * nodes + 1], axis=1).ravel()
+            for i, j in rng.choice(len(dofs), size=(4, 2)):
+                u = []
+                for d in (dofs[i], dofs[j]):
+                    unit = np.zeros(space.num_dofs)
+                    unit[d] = 1.0
+                    u.append(FieldFunction(space, unit))
+                shared = [s for s, cell in enumerate(space.cell_nodes)
+                          if {dofs[i] // 2, dofs[j] // 2} <= set(cell)]
+                expect = sum(det[s] * wq * np.sum(stress(STEEL_LIKE, strain(u[0], s, x))
+                                                  * strain(u[1], s, x))
+                             for s in shared for x, wq in zip(pts, w))
+                assert K[dofs[i], dofs[j]] == pytest.approx(expect, rel=1e-12, abs=1e-14)
 
 
 class TestLoad:
