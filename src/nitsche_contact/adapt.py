@@ -254,24 +254,21 @@ def run_study(cfg: StudyConfig) -> StudyOutput:
     nonconvergence propagates with the partial record list attached.
     The first solve starts from the fully active indicator; every later
     one starts from the previous step's converged contact indicator,
-    transferred onto the refined interface (``ContactProblem.warm_start``).
+    transferred onto the refined interface (the ``start`` of ``solve``).
     """
     setup = make_experiment(cfg.experiment, e2=cfg.e2)
     mesh1, mesh2 = initial_meshes(setup, cfg.resolutions)
     solver_cfg = cfg.solver_config()
 
     records = []
-    last = None
+    last = start = None
     for step in range(cfg.max_steps):
         problem = make_problem(setup, mesh1, mesh2, cfg.degree)
         n = free_dof_count(problem)
         if records and n > cfg.max_dofs:
             break
-        if last is not None:
-            prev = last[2]
-            problem.warm_start = (prev.data.points, prev.active)
         try:
-            result = solve(solver_cfg, problem)
+            result = solve(solver_cfg, problem, start)
         except NonconvergenceError as exc:
             exc.records = records
             raise
@@ -290,6 +287,7 @@ def run_study(cfg: StudyConfig) -> StudyOutput:
             iterations=result.iterations,
         ))
         last = (mesh1, mesh2, result, rep)
+        start = (result.data.points, result.active)
         if n >= cfg.max_dofs:
             break
 

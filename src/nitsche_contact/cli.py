@@ -33,6 +33,7 @@ from .contact import (
     JUNTUNEN,
     VARIANTS,
     NitscheConfig,
+    NonconvergenceError,
     energy_norm,
     lambda_profile,
     reconstruct_lambda,
@@ -237,7 +238,11 @@ def cmd_study(args) -> int:
         alpha=args.alpha, mode=args.mode, theta=args.theta,
         max_dofs=args.max_dofs, resolutions=args.resolutions, e2=args.e2,
     )
-    output = run_study(cfg)
+    try:
+        output = run_study(cfg)
+    except NonconvergenceError as exc:
+        print(f"error: {exc} after {len(exc.records)} recorded steps", file=sys.stderr)
+        return 1
     slope = regression_slope(output.records)
     slope_all = regression_slope(output.records, slice(0, None))
     write_convergence_csv(output.records, out / "convergence.csv", slope)

@@ -15,15 +15,16 @@ tractions are combined on the interface:
 penalty, the stabilisation pairs, the traction-jump weight and the
 estimator's pressure-consistency terms) that the Nitsche assembly, the
 multiplier expression, the mixed oracle and the contact-facet estimator
-all read.  Likewise ``build_interface_data`` is the one place that
-evaluates a body's traction at an interface sample: its rows give each
-body's normal traction, which those four readers take, and its
-tangential traction, which the estimator takes.
+all read; a solve builds it once for all its iterations.  Likewise
+``build_interface_data`` is the one place that evaluates a body's
+traction at an interface sample: its rows give each body's normal
+traction, which those four readers take, and its tangential traction,
+which the estimator takes.
 
 The contact region is tracked pointwise at the interface quadrature
 points and resolved by a fixed-point iteration on the active set.  The
-iteration starts from the fully active indicator, or, when the problem
-carries the converged samples of a solve on a nearby mesh (the previous
+iteration starts from the fully active indicator, or, when ``solve`` is
+given the converged samples of a solve on a nearby mesh (the previous
 step of an adaptive study), from that indicator transferred onto the new
 samples by position along the interface.
 Quadrature uses ``degree + 1`` Gauss points per interface segment, which
@@ -58,7 +59,7 @@ from .fem import (
     shape_gradients,
     shape_values,
 )
-from .mesh import Mesh
+from .mesh import Interface, Mesh
 
 WEIGHTED = "weighted"
 MASTER_SLAVE = "master-slave"
@@ -97,43 +98,30 @@ class NitscheConfig:
                              f" got {self.max_iterations!r}")
 
 
-# names of the per-problem caches (cached properties of ContactProblem)
-_CACHES = ("_bulk", "_fixed", "_interface")
-
-
 def _read_only(*arrays):
     for a in arrays:
         a.setflags(write=False)
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class ContactProblem:
     """Everything a contact solve needs: spaces, materials, loads, interface.
 
     The bulk system (``bulk_system``), the fixed-dof mask (``fixed_mask``)
-    and the default interface samples (``build_interface_data``) are
-    computed once per instance, on first use, and handed out read-only.
-    Assigning any field other than ``warm_start`` drops them; changing a
-    field's contents in place (appending to ``segments``) does not.
+    and the interface samples (``build_interface_data``) are computed once
+    per instance, on first use, and handed out read-only.  The problem is
+    frozen and its interface read-only, so they cannot go stale: a changed
+    problem is a new instance (``dataclasses.replace``) with caches of its own.
     """
 
     spaces: tuple
     materials: tuple
-    segments: list
+    segments: Interface
     body_loads: tuple = (None, None)
     pins: tuple = ()
-    # (points (m, 2), active (m,)) of a converged solve on a nearby mesh;
-    # the active-set iteration starts from it instead of all-active
-    warm_start: Optional[tuple] = None
-
-    def __setattr__(self, name, value):
-        if name != "warm_start":
-            for key in _CACHES:
-                self.__dict__.pop(key, None)
-        super().__setattr__(name, value)
 
     @staticmethod
-    def build(mesh1: Mesh, mesh2: Mesh, degree: int, materials, segments,
+    def build(mesh1: Mesh, mesh2: Mesh, degree: int, materials, segments: Interface,
               body_loads=(None, None), pins=()) -> "ContactProblem":
         spaces = (FeSpace.build(mesh1, degree), FeSpace.build(mesh2, degree))
         offsets = (0, spaces[0].num_dofs)
@@ -142,7 +130,7 @@ class ContactProblem:
         return ContactProblem(
             spaces=spaces,
             materials=tuple(materials),
-            segments=list(segments),
+            segments=segments,
             body_loads=tuple(body_loads),
             pins=resolved,
         )
@@ -270,18 +258,14 @@ def _interface_data(problem: ContactProblem) -> InterfaceData:
     degree = problem.degree
     nq = degree + 1
     xi, wg = gauss1d(nq)
-    segs = problem.segments
-    nseg = len(segs)
+    iface = problem.segments
+    nseg = len(iface)
     ns = nq * nseg
     nl = problem.spaces[0].nodes_per_cell
 
-    p0 = np.array([s.p0 for s in segs], dtype=float).reshape(nseg, 2)
-    p1 = np.array([s.p1 for s in segs], dtype=float).reshape(nseg, 2)
-    parents = np.array([(s.parent1, s.parent2) for s in segs], dtype=int).reshape(nseg, 2)
-    x = p0[:, None, :] + xi[None, :, None] * (p1 - p0)[:, None, :]   # (nseg, nq, 2)
-    length = np.hypot(*(p1 - p0).T)
-    # the interface is one straight line: every segment carries its normal
-    normal = segs[0].normal if segs else np.zeros(2)
+    parents = iface.parents
+    x = iface.p0[:, None, :] + xi[None, :, None] * (iface.p1 - iface.p0)[:, None, :]
+    normal = iface.normal
     tangent = np.array([-normal[1], normal[0]])
 
     # traction rows of each body, over the combined patch of both bodies
@@ -307,11 +291,11 @@ def _interface_data(problem: ContactProblem) -> InterfaceData:
 
     return InterfaceData(
         points=x.reshape(ns, 2),
-        weights=(length[:, None] * wg[None, :]).ravel(),
+        weights=(iface.lengths[:, None] * wg[None, :]).ravel(),
         seg_of=np.repeat(np.arange(nseg), nq),
         parents=parents,
-        h1=np.repeat(np.array([s.h1 for s in segs], dtype=float), nq),
-        h2=np.repeat(np.array([s.h2 for s in segs], dtype=float), nq),
+        h1=np.repeat(iface.h[:, 0], nq),
+        h2=np.repeat(iface.h[:, 1], nq),
         dofs=np.hstack(dofs),
         jump=np.hstack(jump),
         t1=t[0], t2=t[1], tan1=tan[0], tan2=tan[1],
@@ -388,42 +372,40 @@ def combine(weights, x1, x2):
     return a1 * x1 + a2 * x2
 
 
-def lh_values(data: InterfaceData, materials, config: NitscheConfig, u: np.ndarray) -> np.ndarray:
-    """Eliminated multiplier expression at every interface sample."""
-    m = mortar(data, materials, config)
+def lh_values(data: InterfaceData, m: Mortar, u: np.ndarray) -> np.ndarray:
+    """Eliminated multiplier expression at every interface sample, for the
+    variant record ``m`` at those samples."""
     a1, a2 = m.traction
     t = a1 * data.rows_dot(data.t1, u) + a2 * data.rows_dot(data.t2, u)
     return -t - m.penalty * data.rows_dot(data.jump, u)
 
 
-def detect_active_set(data: InterfaceData, materials, config: NitscheConfig, u: np.ndarray) -> np.ndarray:
-    """Pointwise contact indicator; the boundary case is classified inactive."""
-    return lh_values(data, materials, config, u) > 0.0
-
-
 def reconstruct_lambda(data, materials, config, u, clamp: bool = True) -> np.ndarray:
     """Contact pressure samples: the positive part of the eliminated
     multiplier (``clamp=False`` is a fault-injection hook for testing)."""
-    lh = lh_values(data, materials, config, u)
+    lh = lh_values(data, mortar(data, materials, config), u)
     return np.maximum(lh, 0.0) if clamp else lh
 
 
-def assemble_nitsche(data: InterfaceData, materials, config: NitscheConfig,
+def assemble_nitsche(data: InterfaceData, weights, config: NitscheConfig,
                      active: np.ndarray, ndofs: int) -> sp.csr_matrix:
-    """Interface contribution of the chosen variant for a frozen active set.
+    """Interface contribution of one variant for a frozen active set.
 
-    On the active samples ``penalty J J + M J + J M - gamma D D`` of the
-    variant's ``mortar`` record; on the inactive ones its stabilisation
-    ``-sum c_k R_k R_k``, unless dropped.  Entries whose dof index in
-    ``data.dofs`` is negative are left out, so data renumbered onto the
-    free dofs (fixed dofs mapped to -1) assembles the constrained matrix
-    directly.
+    ``weights`` is the variant's ``Mortar`` record at the samples of
+    ``data``, which ``solve`` builds once for all its iterations, or the
+    materials pair, from which the record for ``config`` is built here;
+    ``config`` also says whether the inactive terms are dropped.  On the
+    active samples the form is ``penalty J J + M J + J M - gamma D D``; on
+    the inactive ones the stabilisation ``-sum c_k R_k R_k``, unless
+    dropped.  Entries whose dof index in ``data.dofs`` is negative are
+    left out, so data renumbered onto the free dofs (fixed dofs mapped to
+    -1) assembles the constrained matrix directly.
     """
     if active.shape != (data.num_samples,):
         raise ValueError(
             f"active indicator has length {active.shape}, expected {data.num_samples}"
         )
-    m = mortar(data, materials, config)
+    m = weights if isinstance(weights, Mortar) else mortar(data, weights, config)
     T1, T2, J = data.t1, data.t2, data.jump
     M = combine(m.traction, T1, T2)
 
@@ -540,17 +522,20 @@ def transfer_active(points: np.ndarray, start_points, start_active) -> np.ndarra
     return start_active[pick]
 
 
-def solve(config: NitscheConfig, problem: ContactProblem) -> SolveResult:
+def solve(config: NitscheConfig, problem: ContactProblem, start=None) -> SolveResult:
     """Active-set fixed point: assemble for a guessed contact region,
     solve, re-detect, repeat until the indicator reproduces itself.
 
-    The iteration starts from ``problem.warm_start`` transferred onto the
-    interface samples (``transfer_active``) when it is set, and otherwise
-    from the fully active indicator (the bodies are modelled as initially
-    in contact).  A repeated non-consecutive indicator is reported as
-    nonconvergence rather than damped.
+    ``start`` is ``(points (m, 2), active (m,))``, the samples of a
+    converged solve on a nearby mesh.  The iteration starts from that
+    indicator transferred onto the interface samples (``transfer_active``)
+    when it is given, and otherwise from the fully active indicator (the
+    bodies are modelled as initially in contact).  A repeated
+    non-consecutive indicator is reported as nonconvergence rather than
+    damped.
     """
     data = build_interface_data(problem)
+    m = mortar(data, problem.materials, config)
     A0, b = bulk_system(problem)
     # constrain once; each iteration assembles the interface term directly
     # in free-dof numbering (fixed dofs map to -1 and are left out)
@@ -559,18 +544,18 @@ def solve(config: NitscheConfig, problem: ContactProblem) -> SolveResult:
     local[free] = np.arange(free.size)
     reduced = replace(data, dofs=local[data.dofs])
 
-    if problem.warm_start is None:
+    if start is None:
         active = np.ones(data.num_samples, dtype=bool)
     else:
-        active = transfer_active(data.points, *problem.warm_start)
+        active = transfer_active(data.points, *start)
     seen = {active.tobytes()}
     history = []
     u_prev = None
 
     for it in range(1, config.max_iterations + 1):
-        Af = Af0 + assemble_nitsche(reduced, problem.materials, config, active, free.size)
+        Af = Af0 + assemble_nitsche(reduced, m, config, active, free.size)
         u = expand(_solve_reduced(Af, bf), free, problem.num_dofs)
-        lh = lh_values(data, problem.materials, config, u)
+        lh = lh_values(data, m, u)
         new_active = lh > 0.0
         unorm = float(np.linalg.norm(u))
         rel = (

@@ -192,12 +192,6 @@ class FeSpace:
     def nodes_per_cell(self) -> int:
         return 3 if self.degree == 1 else 6
 
-    def facet_nodes(self, f: int) -> np.ndarray:
-        nodes = list(self.mesh.facets[f])
-        if self.degree == 2:
-            nodes.append(self.mesh.num_vertices + f)
-        return np.array(nodes, dtype=int)
-
     def geometry(self):
         """Affine maps of all elements: (A, invA, det) stacked over cells,
         computed once per space and handed out read-only."""
@@ -412,15 +406,16 @@ def dirichlet_mask(space: FeSpace) -> np.ndarray:
     mesh = space.mesh
     if mesh.boundary_spec is None:
         raise ValueError("mesh is not classified")
-    fixed = np.zeros(space.num_dofs, dtype=bool)
-    for f in mesh.boundary_facets():
-        rule = mesh.boundary_spec.rules[mesh.facet_rule[f]]
+    fixed = np.zeros((space.num_nodes, 2), dtype=bool)
+    for k, rule in enumerate(mesh.boundary_spec.rules):
         if rule.kind != DIRICHLET:
             continue
-        for node in space.facet_nodes(f):
-            for comp in rule.components:
-                fixed[2 * node + comp] = True
-    return fixed
+        f = np.flatnonzero(mesh.facet_rule == k)
+        nodes = mesh.facets[f]
+        if space.degree == 2:   # the facet's midpoint node
+            nodes = np.column_stack([nodes, mesh.num_vertices + f])
+        fixed[np.ix_(nodes.ravel(), rule.components)] = True
+    return fixed.ravel()
 
 
 def pin_dof(space: FeSpace, point, comp: int) -> int:

@@ -280,30 +280,34 @@ def classify_boundary(mesh: Mesh, spec: BoundarySpec) -> Mesh:
     return replace(mesh, facet_rule=rule, boundary_spec=spec)
 
 
-@dataclass(frozen=True)
-class InterfaceSegment:
-    """One element of the intersected interface mesh.
+@dataclass(frozen=True, eq=False)
+class Interface:
+    """The intersected interface mesh, one row per segment.
 
-    The segment is the overlap of one contact facet from each body;
-    ``h1``/``h2`` are the parent facet diameters and ``normal`` points
-    out of body 1.
+    Segment ``k`` runs from ``p0[k]`` to ``p1[k]`` and is the overlap of
+    contact facet ``parents[k, 0]`` of body 1 and ``parents[k, 1]`` of
+    body 2, whose lengths are ``h[k]``; ``normal`` points out of body 1.
+    The arrays are read-only copies of the ones passed in.
     """
 
-    p0: np.ndarray
-    p1: np.ndarray
-    parent1: int
-    parent2: int
-    h1: float
-    h2: float
-    normal: np.ndarray
+    p0: np.ndarray        # (n, 2)
+    p1: np.ndarray        # (n, 2)
+    parents: np.ndarray   # (n, 2)
+    h: np.ndarray         # (n, 2)
+    normal: np.ndarray    # (2,)
+
+    def __post_init__(self):
+        for name in ("p0", "p1", "parents", "h", "normal"):
+            a = np.array(getattr(self, name), dtype=int if name == "parents" else float)
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
+
+    def __len__(self) -> int:
+        return self.parents.shape[0]
 
     @property
-    def length(self) -> float:
-        return float(np.hypot(*(self.p1 - self.p0)))
-
-    @property
-    def midpoint(self) -> np.ndarray:
-        return 0.5 * (self.p0 + self.p1)
+    def lengths(self) -> np.ndarray:
+        return np.hypot(*(self.p1 - self.p0).T)
 
 
 def _facet_intervals(mesh, facet_ids, origin, direction, tol):
@@ -354,12 +358,12 @@ def _parent_facets(intervals, t, tol):
     return facet[k], t1[k] - t0[k]
 
 
-def build_interface(mesh1: Mesh, mesh2: Mesh) -> list:
-    """Intersect the contact facets of both bodies into interface segments.
+def build_interface(mesh1: Mesh, mesh2: Mesh) -> Interface:
+    """Intersect the contact facets of both bodies into the interface mesh.
 
     Both traces must lie on the same straight line; the segments tile
-    the overlap of the two traces, each remembering its parent facet on
-    either side.
+    the overlap of the two traces in order along it, each with its
+    parent facet on either side.
     """
     g1 = mesh1.facets_of_kind(CONTACT)
     g2 = mesh2.facets_of_kind(CONTACT)
@@ -389,11 +393,9 @@ def build_interface(mesh1: Mesh, mesh2: Mesh) -> list:
     t0, t1 = cuts[:-1][long], cuts[1:][long]
     f1, h1 = _parent_facets(iv1, 0.5 * (t0 + t1), tol)
     f2, h2 = _parent_facets(iv2, 0.5 * (t0 + t1), tol)
-    p0 = origin + t0[:, None] * direction
-    p1 = origin + t1[:, None] * direction
-    return [InterfaceSegment(p0=p0[s], p1=p1[s], parent1=int(f1[s]), parent2=int(f2[s]),
-                             h1=float(h1[s]), h2=float(h2[s]), normal=normal)
-            for s in range(len(t0))]
+    return Interface(p0=origin + t0[:, None] * direction, p1=origin + t1[:, None] * direction,
+                     parents=np.column_stack([f1, f2]), h=np.column_stack([h1, h2]),
+                     normal=normal)
 
 
 def bisect_refine(mesh: Mesh, marked) -> Mesh:
@@ -499,33 +501,29 @@ def audit_conformity(mesh: Mesh) -> None:
         raise AssertionError("triangle areas do not sum to the rectangle area")
 
 
-def audit_interface(segments, mesh1: Mesh, mesh2: Mesh) -> None:
+def audit_interface(interface: Interface, mesh1: Mesh, mesh2: Mesh) -> None:
     """Raise if the segments do not tile the interface or leave their parents."""
     tol = geometric_tolerance(mesh1, mesh2)
-    total = sum(s.length for s in segments)
+    length = interface.lengths
+    d = (interface.p1[0] - interface.p0[0]) / length[0]
     # the interface is the overlap of the two contact traces
     spans = []
     for mesh in (mesh1, mesh2):
-        g = mesh.facets_of_kind(CONTACT)
-        pts = mesh.vertices[mesh.facets[g]].reshape(-1, 2)
-        d = segments[0].p1 - segments[0].p0
-        d = d / np.hypot(*d)
-        t = (pts - segments[0].p0) @ d
+        pts = mesh.vertices[mesh.facets[mesh.facets_of_kind(CONTACT)]].reshape(-1, 2)
+        t = (pts - interface.p0[0]) @ d
         spans.append((t.min(), t.max()))
     overlap = min(spans[0][1], spans[1][1]) - max(spans[0][0], spans[1][0])
-    if abs(total - overlap) > 10 * tol * max(1.0, len(segments)):
+    if abs(length.sum() - overlap) > 10 * tol * max(1.0, len(interface)):
         raise AssertionError("segments do not cover the interface")
-    for s in segments:
-        if s.length <= tol:
-            raise AssertionError("degenerate segment")
-        for mesh, parent in ((mesh1, s.parent1), (mesh2, s.parent2)):
-            a = mesh.vertices[mesh.facets[parent, 0]]
-            b = mesh.vertices[mesh.facets[parent, 1]]
-            lo = np.minimum(a, b) - tol
-            hi = np.maximum(a, b) + tol
-            for p in (s.p0, s.p1):
-                if np.any(p < lo) or np.any(p > hi):
-                    raise AssertionError("segment endpoint outside its parent facet")
+    if np.any(length <= tol):
+        raise AssertionError("degenerate segment")
+    for mesh, parent in ((mesh1, interface.parents[:, 0]), (mesh2, interface.parents[:, 1])):
+        ends = mesh.vertices[mesh.facets[parent]]              # (n, 2 ends, 2)
+        lo = ends.min(axis=1) - tol
+        hi = ends.max(axis=1) + tol
+        for p in (interface.p0, interface.p1):
+            if np.any(p < lo) or np.any(p > hi):
+                raise AssertionError("segment endpoint outside its parent facet")
 
 
 def dump_mesh(mesh: Mesh) -> str:

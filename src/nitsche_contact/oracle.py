@@ -29,6 +29,7 @@ import scipy.sparse as sp
 from .contact import (
     ContactProblem,
     InterfaceData,
+    Mortar,
     NitscheConfig,
     _solve_linear,
     build_interface_data,
@@ -50,16 +51,17 @@ class MixedSystem:
     """Symmetric saddle system in (displacements, multiplier samples).
 
     ``matrix`` is the full stabilised operator; the multiplier block is
-    negative semidefinite.  ``c`` holds the per-sample weights that turn
-    multiplier rows into the complementarity residual.
+    negative semidefinite.  ``mortar`` is the variant's record at the
+    samples, built once per system; its ``c_q`` holds the per-sample
+    weights that turn multiplier rows into the complementarity residual.
     """
 
     problem: ContactProblem
     config: NitscheConfig
     data: InterfaceData
+    mortar: Mortar
     matrix: sp.csr_matrix
     rhs: np.ndarray
-    c: np.ndarray
 
     @property
     def n_u(self) -> int:
@@ -104,8 +106,8 @@ def build_mixed_system(problem: ContactProblem, config: NitscheConfig) -> MixedS
     S = sp.coo_matrix((vals, (rows, cols)), shape=(n_u + n_l, n_u + n_l)).tocsr()
     full = sp.bmat([[A, None], [None, sp.csr_matrix((n_l, n_l))]], format="csr") + S
     rhs = np.concatenate([b, np.zeros(n_l)])
-    return MixedSystem(problem=problem, config=config, data=data,
-                       matrix=full, rhs=rhs, c=m.c_q)
+    return MixedSystem(problem=problem, config=config, data=data, mortar=m,
+                       matrix=full, rhs=rhs)
 
 
 @dataclass
@@ -130,7 +132,7 @@ def _solve_pattern(system: MixedSystem, pattern: np.ndarray):
 
 
 def _lh_of(system: MixedSystem, u: np.ndarray) -> np.ndarray:
-    return lh_values(system.data, system.problem.materials, system.config, u)
+    return lh_values(system.data, system.mortar, u)
 
 
 def check_vi_residual(system: MixedSystem, u: np.ndarray, lam: np.ndarray) -> float:

@@ -1,4 +1,3 @@
-import dataclasses
 from itertools import combinations
 
 import numpy as np
@@ -158,11 +157,11 @@ class TestRunStudy:
         calls = {"n": 0}
         real_solve = adapt.solve
 
-        def flaky(cfg, problem):
+        def flaky(cfg, problem, start=None):
             calls["n"] += 1
             if calls["n"] >= 2:
                 raise NonconvergenceError("induced", history=[])
-            return real_solve(cfg, problem)
+            return real_solve(cfg, problem, start)
 
         monkeypatch.setattr(adapt, "solve", flaky)
         with pytest.raises(NonconvergenceError) as err:
@@ -188,13 +187,11 @@ class TestDeskScaleProperties:
         for out in pressing_studies.values():
             assert all(r.iterations <= 10 for r in out.records)
 
-    def test_warm_start_matches_cold_solve(self, bending_adaptive_p2):
+    def test_started_solve_matches_cold_solve(self, bending_adaptive_p2):
         out = bending_adaptive_p2
         assert all(r.iterations <= 5 for r in out.records[1:])
         warm = out.result
-        assert warm.problem.warm_start is not None
-        cold = solve(out.config.solver_config(),
-                     dataclasses.replace(warm.problem, warm_start=None))
+        cold = solve(out.config.solver_config(), warm.problem)
         assert cold.iterations > warm.iterations
         assert np.array_equal(cold.active, warm.active)
         assert np.linalg.norm(warm.u - cold.u) <= 1e-10 * np.linalg.norm(cold.u)

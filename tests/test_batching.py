@@ -9,7 +9,7 @@ the same way against loops over segments and facets, and the segments
 are checked to tile the overlap of the two contact traces.
 """
 
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
@@ -67,13 +67,15 @@ def reference_rows(problem):
     one sample at a time; the tangent is the normal out of body 1 turned
     counterclockwise."""
     data = build_interface_data(problem)
+    iface = problem.segments
     nl = problem.spaces[0].nodes_per_cell
+    normal = iface.normal
+    tau = np.array([-normal[1], normal[0]])
     jump, t1, t2, tan1, tan2 = (np.zeros_like(data.jump) for _ in range(5))
     for i, x in enumerate(data.points):
-        seg = problem.segments[data.seg_of[i]]
-        assert tuple(data.parents[data.seg_of[i]]) == (seg.parent1, seg.parent2)
-        tau = np.array([-seg.normal[1], seg.normal[0]])
-        for body, parent in ((1, seg.parent1), (2, seg.parent2)):
+        parents = iface.parents[data.seg_of[i]]
+        assert tuple(data.parents[data.seg_of[i]]) == tuple(parents)
+        for body, parent in ((1, parents[0]), (2, parents[1])):
             space = problem.spaces[body - 1]
             mesh = space.mesh
             tri = int(mesh.facet_triangles[parent, 0])
@@ -82,7 +84,7 @@ def reference_rows(problem):
             ref = np.linalg.solve(A, x - p[0])
             phi = shape_values(problem.degree, ref[None])[0]
             g = shape_gradients(problem.degree, ref[None]) @ np.linalg.inv(A)
-            n = seg.normal if body == 1 else -seg.normal
+            n = normal if body == 1 else -normal
             snn, trac = elastic_moduli_rows(g, n, problem.materials[body - 1])
             lo = (body - 1) * 2 * nl
             for node in range(nl):
@@ -196,7 +198,7 @@ def test_batched_kernels_match_sample_loops(case, draw):
     M, rhs, c = reference_mixed(problem, config)
     assert close(system.matrix, M)
     assert np.array_equal(system.rhs, rhs)
-    assert close(system.c, c)
+    assert close(system.mortar.c_q, c)
 
 
 class TestProblemCache:
@@ -215,26 +217,40 @@ class TestProblemCache:
             with pytest.raises(ValueError):
                 arr[0] = arr[0]
 
-    def test_assigning_a_field_drops_the_cache(self):
+    def test_fields_cannot_be_assigned(self):
+        problem = problem_for(1, PAIRS[1], None)
+        for f in fields(problem):
+            with pytest.raises(FrozenInstanceError):
+                setattr(problem, f.name, getattr(problem, f.name))
+
+    def test_interface_arrays_are_read_only_copies(self):
+        problem = problem_for(2, PAIRS[1], None)
+        iface = problem.segments
+        for f in fields(iface):
+            arr = getattr(iface, f.name)
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = arr[0]
+        p0 = np.array(iface.p0)
+        assert replace(iface, p0=p0).p0 is not p0 and p0.flags.writeable
+
+    def test_replaced_problem_has_its_own_caches(self):
         problem = problem_for(1, PAIRS[1], None)
         config = NitscheConfig(alpha=1e-2)
         first = solve(config, problem)
         A, b = bulk_system(problem)
         f = problem.body_loads[0]
-        problem.body_loads = (lambda x: 2.0 * f(x), problem.body_loads[1])
-        assert bulk_system(problem)[1] is not b
-        doubled = solve(config, problem)
+        doubled_problem = replace(problem, body_loads=(lambda x: 2.0 * f(x),
+                                                       problem.body_loads[1]))
+        assert bulk_system(doubled_problem)[1] is not b
+        assert bulk_system(problem)[1] is b
+        doubled = solve(config, doubled_problem, (first.data.points, first.active))
+        assert doubled.iterations == 1
         assert np.array_equal(doubled.active, first.active)
         assert np.allclose(doubled.u, 2.0 * first.u, rtol=0.0,
                            atol=1e-12 * np.abs(first.u).max())
-
-    def test_warm_start_keeps_the_cache(self):
-        problem = problem_for(1, PAIRS[1], None)
-        A, b = bulk_system(problem)
-        data = build_interface_data(problem)
-        problem.warm_start = (data.points, np.ones(data.num_samples, dtype=bool))
-        assert bulk_system(problem)[0] is A
-        assert build_interface_data(problem) is data
+        # a started solve reads the same caches as a cold one
+        assert solve(config, problem, (first.data.points, first.active)).data is first.data
 
 
 def reference_contact_estimator(result, n_gauss=None):
@@ -251,19 +267,23 @@ def reference_contact_estimator(result, n_gauss=None):
     xi0, _ = data.gauss
     xi, wg = data.gauss if n_gauss is None else gauss1d(n_gauss)
     S2 = 0.0
-    for s, seg in enumerate(problem.segments):
-        pts = seg.p0 + xi[:, None] * (seg.p1 - seg.p0)
-        wq = wg * seg.length
+    iface = problem.segments
+    normal = iface.normal
+    for s in range(len(iface)):
+        p0, p1 = iface.p0[s], iface.p1[s]
+        (parent1, parent2), (h1, h2) = iface.parents[s], iface.h[s]
+        pts = p0 + xi[:, None] * (p1 - p0)
+        wq = wg * np.hypot(*(p1 - p0))
         samples = result.lam[s * data.n_per_seg:(s + 1) * data.n_per_seg]
         lam = np.array([sum(samples[k] * np.prod([(t - xi0[m]) / (xi0[k] - xi0[m])
                                                   for m in range(len(xi0)) if m != k])
                             for k in range(len(xi0))) for t in xi])
         jump = np.zeros(len(xi))
         snn, tang = [], []
-        for i, parent in ((0, seg.parent1), (1, seg.parent2)):
+        for i, parent in ((0, parent1), (1, parent2)):
             space = problem.spaces[i]
             mesh = space.mesh
-            n = seg.normal if i == 0 else -seg.normal
+            n = normal if i == 0 else -normal
             tri = int(mesh.facet_triangles[parent, 0])
             p = mesh.vertices[mesh.triangles[tri]]
             ref = np.linalg.solve(np.stack([p[1] - p[0], p[2] - p[0]], axis=-1),
@@ -280,8 +300,8 @@ def reference_contact_estimator(result, n_gauss=None):
             snn.append(trac @ n)
             tang.append(trac - snn[-1][:, None] * n)
         S2 += (wq * np.maximum(jump, 0.0) * lam).sum()
-        denom = seg.h1 * mu2 + seg.h2 * mu1
-        for i, parent, hE in ((0, seg.parent1, seg.h1), (1, seg.parent2, seg.h2)):
+        denom = h1 * mu2 + h2 * mu1
+        for i, parent, hE in ((0, parent1, h1), (1, parent2, h2)):
             mu = mats[i].mu
             term = (hE / mu) * (wq * (tang[i] ** 2).sum(axis=1)).sum()
             term += (mu / hE) * (wq * np.maximum(-jump, 0.0) ** 2).sum()
@@ -289,7 +309,7 @@ def reference_contact_estimator(result, n_gauss=None):
                     config.variant == MASTER_SLAVE and i + 1 == (2 if mu1 >= mu2 else 1)):
                 term += (hE / mu) * (wq * (lam + snn[i]) ** 2).sum()
             elif config.variant != MASTER_SLAVE:
-                mean = (seg.h1 * mu2 * snn[0] + seg.h2 * mu1 * snn[1]) / denom
+                mean = (h1 * mu2 * snn[0] + h2 * mu1 * snn[1]) / denom
                 beta = mu1 * mu2 / (config.alpha * denom)
                 term += 0.5 * (wq * (lam + mean) ** 2).sum() / beta
             out[i][parent] += term
@@ -366,12 +386,12 @@ def refined_pressing_meshes(pair, rounds):
 def test_interface_matches_facet_loop(pair, rounds):
     meshes = refined_pressing_meshes(pair, rounds)
     for m1, m2 in (meshes, meshes[::-1]):
-        segments = build_interface(m1, m2)
+        iface = build_interface(m1, m2)
         ref = reference_interface(m1, m2)
-        assert len(segments) == len(ref)
-        for seg, (p0, p1, f1, f2, h1, h2) in zip(segments, ref):
-            assert np.array_equal(seg.p0, p0) and np.array_equal(seg.p1, p1)
-            assert (seg.parent1, seg.parent2, seg.h1, seg.h2) == (f1, f2, h1, h2)
+        assert len(iface) == len(ref)
+        for k, (p0, p1, f1, f2, h1, h2) in enumerate(ref):
+            assert np.array_equal(iface.p0[k], p0) and np.array_equal(iface.p1[k], p1)
+            assert tuple(iface.parents[k]) == (f1, f2) and tuple(iface.h[k]) == (h1, h2)
 
 
 @settings(max_examples=20, deadline=None)
@@ -379,9 +399,9 @@ def test_interface_matches_facet_loop(pair, rounds):
 def test_segments_tile_the_overlap(pair, rounds):
     meshes = refined_pressing_meshes(pair, rounds)
     for m1, m2 in (meshes, meshes[::-1]):
-        segments = build_interface(m1, m2)
+        iface = build_interface(m1, m2)
         tol = geometric_tolerance(m1, m2)
-        d = segments[0].p1 - segments[0].p0
+        d = iface.p1[0] - iface.p0[0]
         d = d / np.hypot(*d)
         # the overlap runs from the later start to the earlier end of the traces
         starts, ends = [], []
@@ -392,9 +412,8 @@ def test_segments_tile_the_overlap(pair, rounds):
             ends.append(pts[np.argmax(t)])
         start = max(starts, key=lambda p: p @ d)
         end = min(ends, key=lambda p: p @ d)
-        assert np.hypot(*(segments[0].p0 - start)) <= tol
-        assert np.hypot(*(segments[-1].p1 - end)) <= tol
-        for seg, after in zip(segments[:-1], segments[1:]):
-            assert np.array_equal(seg.p1, after.p0)
-        assert all((seg.p1 - seg.p0) @ d > tol for seg in segments)
-        audit_interface(segments, m1, m2)
+        assert np.hypot(*(iface.p0[0] - start)) <= tol
+        assert np.hypot(*(iface.p1[-1] - end)) <= tol
+        assert np.array_equal(iface.p1[:-1], iface.p0[1:])
+        assert np.all((iface.p1 - iface.p0) @ d > tol)
+        audit_interface(iface, m1, m2)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import nitsche_contact.cli as cli
 from nitsche_contact.cli import (
     build_parser,
     main,
@@ -9,6 +10,7 @@ from nitsche_contact.cli import (
     write_convergence_csv,
 )
 from nitsche_contact.adapt import ConvergenceRecord, regression_slope
+from nitsche_contact.contact import NonconvergenceError
 from nitsche_contact.mesh import parse_mesh
 
 
@@ -66,6 +68,18 @@ class TestStudyCommand:
         assert slope == regression_slope(recs)
         svg = (tmp_path / "convergence.svg").read_text()
         assert svg.startswith("<svg") and "circle" in svg
+
+    def test_nonconvergence_is_an_error_exit(self, tmp_path, capsys, monkeypatch):
+        def cycling(cfg):
+            exc = NonconvergenceError("active-set iteration entered a cycle", [])
+            exc.records = [None] * 3
+            raise exc
+
+        monkeypatch.setattr(cli, "run_study", cycling)
+        assert main(["study", "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert "entered a cycle" in err and "3 recorded steps" in err
+        assert not (tmp_path / "convergence.csv").exists()
 
     def test_reexport_bit_exact(self, tmp_path):
         recs = [ConvergenceRecord(step=0, ndofs=48, eta=0.0922056381819,

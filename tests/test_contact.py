@@ -16,7 +16,6 @@ from nitsche_contact.contact import (
     build_interface_data,
     bulk_system,
     contact_force,
-    detect_active_set,
     energy_norm,
     lh_values,
     mortar,
@@ -40,8 +39,7 @@ def small_problem(experiment="pressing", degree=1, res=((2, 2), (3, 4)), e2=None
 class TestCoefficients:
     def test_weights_sum_to_one(self):
         _, prob = small_problem()
-        h = SimpleNamespace(h1=np.array([s.h1 for s in prob.segments]),
-                            h2=np.array([s.h2 for s in prob.segments]))
+        h = SimpleNamespace(h1=prob.segments.h[:, 0], h2=prob.segments.h[:, 1])
         m = mortar(h, prob.materials, NitscheConfig(variant="weighted", alpha=1e-2))
         (w1, w2), beta, gamma = m.traction, m.penalty, m.gamma
         assert np.allclose(w1 + w2, 1.0, rtol=0.0, atol=1e-14)
@@ -119,10 +117,10 @@ class TestLh:
     def test_zero_field(self):
         _, prob = small_problem()
         data = build_interface_data(prob)
-        cfg = NitscheConfig(alpha=1e-2)
-        lh = lh_values(data, prob.materials, cfg, np.zeros(prob.num_dofs))
+        m = mortar(data, prob.materials, NitscheConfig(alpha=1e-2))
+        lh = lh_values(data, m, np.zeros(prob.num_dofs))
         assert np.allclose(lh, 0.0)
-        assert not detect_active_set(data, prob.materials, cfg, np.zeros(prob.num_dofs)).any()
+        assert not (lh > 0).any()
 
     @pytest.mark.parametrize("variant", ["weighted", "master-slave", "juntunen"])
     def test_rigid_interpenetration_detected(self, variant):
@@ -132,10 +130,10 @@ class TestLh:
         delta = 1e-3
         u = np.zeros(prob.num_dofs)
         u[0:prob.spaces[0].num_dofs:2] = delta  # body 1 shifted toward body 2
-        lh = lh_values(data, prob.materials, cfg, u)
-        expect = mortar(data, prob.materials, cfg).penalty * delta
-        assert np.allclose(lh, expect, rtol=1e-10)
-        assert detect_active_set(data, prob.materials, cfg, u).all()
+        m = mortar(data, prob.materials, cfg)
+        lh = lh_values(data, m, u)
+        assert np.allclose(lh, m.penalty * delta, rtol=1e-10)
+        assert (lh > 0).all()
 
     def test_reconstruct_positive_part(self):
         lh = np.array([-2.0, 3.0, 0.0])
@@ -226,7 +224,7 @@ class TestSolve:
         _, prob = small_problem("bending", sweeps=1)
         cfg = NitscheConfig(alpha=1e-2)
         res = solve(cfg, prob)
-        again = detect_active_set(res.data, prob.materials, cfg, res.u)
+        again = lh_values(res.data, mortar(res.data, prob.materials, cfg), res.u) > 0
         assert np.array_equal(again, res.active)
 
     def test_nonconvergence_carries_history(self):
@@ -271,8 +269,7 @@ class TestWarmStart:
         cfg = NitscheConfig(alpha=1e-3)
         cold = solve(cfg, prob)
         assert cold.iterations > 1
-        prob.warm_start = (cold.data.points, cold.active)
-        warm = solve(cfg, prob)
+        warm = solve(cfg, prob, start=(cold.data.points, cold.active))
         assert warm.iterations == 1
         assert np.array_equal(warm.active, cold.active)
         assert np.allclose(warm.u, cold.u, rtol=0.0, atol=1e-12 * np.abs(cold.u).max())
@@ -280,9 +277,9 @@ class TestWarmStart:
     def test_start_length_mismatch(self):
         _, prob = small_problem("bending")
         data = build_interface_data(prob)
-        prob.warm_start = (data.points, np.ones(data.num_samples - 1, dtype=bool))
+        start = (data.points, np.ones(data.num_samples - 1, dtype=bool))
         with pytest.raises(ValueError, match="start indicator"):
-            solve(NitscheConfig(alpha=1e-2), prob)
+            solve(NitscheConfig(alpha=1e-2), prob, start=start)
 
 
 class TestEquilibrium:

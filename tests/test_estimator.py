@@ -7,6 +7,7 @@ from nitsche_contact.contact import (
     SolveResult,
     build_interface_data,
     lh_values,
+    mortar,
     solve,
 )
 from nitsche_contact.estimator import (
@@ -47,7 +48,7 @@ def synthetic_result(problem, u, config=None, lam=None):
     config = config or NitscheConfig(alpha=1e-2)
     data = build_interface_data(problem)
     if lam is None:
-        lam = np.maximum(lh_values(data, problem.materials, config, u), 0.0)
+        lam = np.maximum(lh_values(data, mortar(data, problem.materials, config), u), 0.0)
     active = lam > 0
     return SolveResult(problem=problem, config=config, data=data, u=u,
                        active=active, lam=lam, iterations=1, history=[])
@@ -307,7 +308,7 @@ class TestReport:
         u[0:prob.spaces[0].num_dofs:2] += 0.05  # keep the gap single-signed
         data = build_interface_data(prob)
         cfg = NitscheConfig(variant="weighted", alpha=1e-2)
-        lam = np.maximum(lh_values(data, prob.materials, cfg, u), 0.0)
+        lam = np.maximum(lh_values(data, mortar(data, prob.materials, cfg), u), 0.0)
         res = synthetic_result(prob, u, config=cfg, lam=lam)
 
         base_contact, base_S2 = contact_facet_estimator(res)

@@ -23,7 +23,15 @@ from nitsche_contact.fem import (
     traction_split,
     triangle_rule,
 )
-from nitsche_contact.mesh import NEUMANN, BoundaryRule, BoundarySpec, classify_boundary
+from nitsche_contact.adapt import initial_meshes, make_experiment
+from nitsche_contact.mesh import (
+    DIRICHLET,
+    NEUMANN,
+    BoundaryRule,
+    BoundarySpec,
+    classify_boundary,
+    uniform_refine,
+)
 
 from test_mesh import body1_mesh
 
@@ -369,3 +377,29 @@ class TestDirichlet:
         fixed = dirichlet_mask(space)
         Kf, _, _ = constrain(K, np.zeros(space.num_dofs), fixed)
         assert abs(Kf - Kf.T).max() < 1e-14
+
+    @pytest.mark.parametrize("experiment", ["pressing", "bending", "patch"])
+    @pytest.mark.parametrize("degree", [1, 2])
+    @pytest.mark.parametrize("sweeps", [0, 1, 2])
+    def test_mask_matches_facet_loop(self, experiment, degree, sweeps):
+        for mesh in initial_meshes(make_experiment(experiment)):
+            space = FeSpace.build(uniform_refine(mesh, sweeps), degree)
+            assert np.array_equal(dirichlet_mask(space), reference_dirichlet_mask(space))
+
+
+def reference_dirichlet_mask(space):
+    """Dirichlet dofs by a loop over boundary facets, their nodes and the
+    rule's components."""
+    mesh = space.mesh
+    fixed = np.zeros(space.num_dofs, dtype=bool)
+    for f in mesh.boundary_facets():
+        rule = mesh.boundary_spec.rules[mesh.facet_rule[f]]
+        if rule.kind != DIRICHLET:
+            continue
+        nodes = list(mesh.facets[f])
+        if space.degree == 2:
+            nodes.append(mesh.num_vertices + f)
+        for node in nodes:
+            for comp in rule.components:
+                fixed[2 * node + comp] = True
+    return fixed

@@ -110,34 +110,31 @@ class TestInterface:
     def test_matching_meshes(self):
         m1 = body1_mesh(2, 2)
         m2 = body2_mesh(3, 4)
-        segs = build_interface(m1, m2)
-        assert len(segs) == 2
-        for s in segs:
-            assert s.h1 == pytest.approx(0.25)
-            assert s.h2 == pytest.approx(0.25)
-            assert s.normal @ np.array([1.0, 0.0]) == pytest.approx(1.0)
-        audit_interface(segs, m1, m2)
+        iface = build_interface(m1, m2)
+        assert len(iface) == 2
+        assert iface.h == pytest.approx(np.full((2, 2), 0.25))
+        assert iface.normal @ np.array([1.0, 0.0]) == pytest.approx(1.0)
+        audit_interface(iface, m1, m2)
 
     def test_nonmatching_breakpoints(self):
         m1 = body1_mesh(2, 3)  # body-1 trace cut at 0.25 + k/6
         m2 = body2_mesh(3, 4)  # body-2 trace cut at 0.25 + k/4
-        segs = build_interface(m1, m2)
-        cuts = sorted({round(s.p0[1], 12) for s in segs} | {round(s.p1[1], 12) for s in segs})
+        iface = build_interface(m1, m2)
+        cuts = sorted(set(np.round(np.concatenate([iface.p0[:, 1], iface.p1[:, 1]]), 12)))
         expect = sorted({0.25, 0.25 + 1 / 6, 0.25 + 2 / 6, 0.75, 0.5} | {0.25, 0.5, 0.75})
         assert cuts == pytest.approx(expect)
-        assert len(segs) == 4
-        total = sum(s.length for s in segs)
-        assert total == pytest.approx(0.5, rel=1e-12)
-        audit_interface(segs, m1, m2)
+        assert len(iface) == 4
+        assert iface.lengths.sum() == pytest.approx(0.5, rel=1e-12)
+        audit_interface(iface, m1, m2)
 
     def test_parent_diameters(self):
         # one facet [0.25, 0.75] against two facets split at 0.5
         m1 = body1_mesh(1, 1)
         m2 = body2_mesh(1, 4)
-        segs = build_interface(m1, m2)
-        assert len(segs) == 2
-        assert {round(s.h1, 12) for s in segs} == {0.5}
-        assert {round(s.h2, 12) for s in segs} == {0.25}
+        iface = build_interface(m1, m2)
+        assert len(iface) == 2
+        assert set(np.round(iface.h[:, 0], 12)) == {0.5}
+        assert set(np.round(iface.h[:, 1], 12)) == {0.25}
 
     def test_partially_overlapping_traces(self):
         # facet spanning y in [0.25, 0.5] against one spanning [0.4, 0.75]:
@@ -146,13 +143,11 @@ class TestInterface:
         m1 = classify_boundary(generate_block_mesh((0.5, 1.0, 0.25, 0.5), 1, 1, 1), spec1)
         spec2 = block_spec(1.6, 1.0, 0.4, 0.75)
         m2 = classify_boundary(generate_block_mesh((1.0, 1.6, 0.4, 0.75), 1, 1, 2), spec2)
-        segs = build_interface(m1, m2)
-        assert len(segs) == 1
-        s = segs[0]
-        assert sorted([s.p0[1], s.p1[1]]) == pytest.approx([0.4, 0.5])
-        assert s.h1 == pytest.approx(0.25)
-        assert s.h2 == pytest.approx(0.35)
-        audit_interface(segs, m1, m2)
+        iface = build_interface(m1, m2)
+        assert len(iface) == 1
+        assert sorted([iface.p0[0, 1], iface.p1[0, 1]]) == pytest.approx([0.4, 0.5])
+        assert iface.h[0] == pytest.approx([0.25, 0.35])
+        audit_interface(iface, m1, m2)
 
     def test_disjoint_traces_raise(self):
         spec1 = block_spec(0.5, 1.0, 0.25, 0.5)
@@ -270,10 +265,9 @@ class TestRefine:
         m1 = body1_mesh()
         m2 = body2_mesh()
         m1r = uniform_refine(m1, 1)
-        segs = build_interface(m1r, m2)
-        audit_interface(segs, m1r, m2)
-        total = sum(s.length for s in segs)
-        assert total == pytest.approx(0.5, rel=1e-12)
+        iface = build_interface(m1r, m2)
+        audit_interface(iface, m1r, m2)
+        assert iface.lengths.sum() == pytest.approx(0.5, rel=1e-12)
 
 
 class TestTopology:

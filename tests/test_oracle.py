@@ -7,6 +7,7 @@ from nitsche_contact.contact import (
     NitscheConfig,
     energy_norm,
     lh_values,
+    mortar,
     solve,
 )
 from nitsche_contact.oracle import (
@@ -43,7 +44,8 @@ class TestMixedSolve:
         pdas = solve_mixed(prob, cfg, method="pdas")
         assert np.allclose(enum.u, pdas.u, atol=1e-12)
         assert np.allclose(enum.lam, pdas.lam, atol=1e-12)
-        lh = lh_values(enum.system.data, prob.materials, cfg, enum.u)
+        data = enum.system.data
+        lh = lh_values(data, mortar(data, prob.materials, cfg), enum.u)
         assert np.allclose(enum.lam, np.maximum(lh, 0.0), atol=1e-10)
 
     def test_enumeration_cap(self):
