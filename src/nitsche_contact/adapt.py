@@ -45,6 +45,9 @@ EXPERIMENTS = ("pressing", "bending", "cosine", "patch")
 
 DEFAULT_ALPHA = {1: 1e-2, 2: 1e-3}
 DEFAULT_RESOLUTIONS = ((2, 2), (3, 4))
+NU = 0.3              # Poisson's ratio of both bodies
+MAX_STEPS = 80        # solve-estimate-mark-refine steps of one study
+TIE_RTOL = 1e-12      # indicators this close (relative) tie in the marking order
 
 
 def _near(value):
@@ -102,13 +105,13 @@ class ExperimentSetup:
     pins: tuple = ()
 
 
-def make_experiment(name: str, e2: Optional[float] = None, nu: float = 0.3) -> ExperimentSetup:
+def make_experiment(name: str, e2: Optional[float] = None) -> ExperimentSetup:
     """Build one of the named experiments; ``e2`` overrides the second
     body's Young's modulus."""
     if name not in EXPERIMENTS:
         raise ValueError(f"unknown experiment {name!r}; valid: {', '.join(EXPERIMENTS)}")
-    m1 = MaterialParams.from_young(1.0, nu)
-    m2 = MaterialParams.from_young(1.0 if e2 is None else e2, nu)
+    m1 = MaterialParams.from_young(1.0, NU)
+    m2 = MaterialParams.from_young(1.0 if e2 is None else e2, NU)
 
     if name == "patch":
         # equal-height blocks pressed by a uniform traction on the far face
@@ -171,21 +174,24 @@ def make_problem(setup: ExperimentSetup, mesh1: Mesh, mesh2: Mesh, degree: int) 
 # marking and the study loop
 # ---------------------------------------------------------------------------
 
-def mark_dorfler(report_or_indicators, theta: float) -> np.ndarray:
+def mark_dorfler(indicators, theta: float) -> np.ndarray:
     """Smallest prefix of descending indicators carrying a ``theta``
-    fraction of the total; ties break towards lower triangle ids.  An
-    empty array and NaN, infinite or negative indicators are rejected."""
+    fraction of the total.  Ties break towards lower triangle ids, and an
+    indicator within a relative ``TIE_RTOL`` of the next larger one ties
+    with it, so mirror-image triangles whose indicators differ by rounding
+    noise are ordered by id.  An empty array and NaN, infinite or negative
+    indicators are rejected."""
     if not (0.0 < theta < 1.0):
         raise ValueError(f"marking fraction must be in (0, 1), got {theta}")
-    if isinstance(report_or_indicators, EstimatorReport):
-        indicators = report_or_indicators.aggregate
-    else:
-        indicators = np.asarray(report_or_indicators, dtype=float)
+    indicators = np.asarray(indicators, dtype=float)
     if indicators.size == 0:
         raise ValueError("no indicators to mark")
     if not (np.isfinite(indicators).all() and (indicators >= 0).all()):
         raise ValueError("indicators must be finite and non-negative")
-    order = np.lexsort((np.arange(len(indicators)), -indicators))
+    order = np.argsort(-indicators, kind="stable")
+    ranked = indicators[order]
+    tier = np.cumsum(np.r_[False, ranked[1:] < ranked[:-1] * (1.0 - TIE_RTOL)])
+    order = order[np.lexsort((order, tier))]
     csum = np.cumsum(indicators[order])
     total = csum[-1]
     k = int(np.searchsorted(csum, theta * total - 1e-15 * abs(total))) + 1
@@ -215,7 +221,6 @@ class StudyConfig:
     mode: str = "adaptive"
     theta: float = 0.5
     max_dofs: int = 15000
-    max_steps: int = 80
     resolutions: tuple = DEFAULT_RESOLUTIONS
     e2: Optional[float] = None
 
@@ -262,7 +267,7 @@ def run_study(cfg: StudyConfig) -> StudyOutput:
 
     records = []
     last = start = None
-    for step in range(cfg.max_steps):
+    for step in range(MAX_STEPS):
         problem = make_problem(setup, mesh1, mesh2, cfg.degree)
         n = free_dof_count(problem)
         if records and n > cfg.max_dofs:
@@ -297,7 +302,7 @@ def run_study(cfg: StudyConfig) -> StudyOutput:
                 mesh1 = bisect_refine(mesh1, np.arange(mesh1.num_triangles))
                 mesh2 = bisect_refine(mesh2, np.arange(mesh2.num_triangles))
         else:
-            marked = mark_dorfler(rep, cfg.theta)
+            marked = mark_dorfler(rep.aggregate, cfg.theta)
             split = mesh1.num_triangles
             marked1 = marked[marked < split]
             marked2 = marked[marked >= split] - split

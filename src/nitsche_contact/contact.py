@@ -34,7 +34,6 @@ an exact parametrisation of the segmentwise polynomial multiplier.
 
 from __future__ import annotations
 
-import numbers
 import warnings
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -65,6 +64,7 @@ WEIGHTED = "weighted"
 MASTER_SLAVE = "master-slave"
 JUNTUNEN = "juntunen"
 VARIANTS = (WEIGHTED, MASTER_SLAVE, JUNTUNEN)
+MAX_ITERATIONS = 30   # active-set iterations of one solve
 
 
 class NonconvergenceError(RuntimeError):
@@ -84,7 +84,6 @@ class NitscheConfig:
     variant: str = JUNTUNEN
     alpha: float = 1e-2
     drop_inactive_terms: bool = True
-    max_iterations: int = 30
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
@@ -92,10 +91,6 @@ class NitscheConfig:
         if not (np.isfinite(self.alpha) and self.alpha > 0):
             raise ValueError(f"stabilisation parameter alpha must be positive and finite,"
                              f" got {self.alpha}")
-        if (not isinstance(self.max_iterations, numbers.Integral)
-                or isinstance(self.max_iterations, bool) or self.max_iterations < 1):
-            raise ValueError(f"max_iterations must be a positive integer,"
-                             f" got {self.max_iterations!r}")
 
 
 def _read_only(*arrays):
@@ -380,32 +375,23 @@ def lh_values(data: InterfaceData, m: Mortar, u: np.ndarray) -> np.ndarray:
     return -t - m.penalty * data.rows_dot(data.jump, u)
 
 
-def reconstruct_lambda(data, materials, config, u, clamp: bool = True) -> np.ndarray:
-    """Contact pressure samples: the positive part of the eliminated
-    multiplier (``clamp=False`` is a fault-injection hook for testing)."""
-    lh = lh_values(data, mortar(data, materials, config), u)
-    return np.maximum(lh, 0.0) if clamp else lh
-
-
-def assemble_nitsche(data: InterfaceData, weights, config: NitscheConfig,
+def assemble_nitsche(data: InterfaceData, m: Mortar, config: NitscheConfig,
                      active: np.ndarray, ndofs: int) -> sp.csr_matrix:
     """Interface contribution of one variant for a frozen active set.
 
-    ``weights`` is the variant's ``Mortar`` record at the samples of
-    ``data``, which ``solve`` builds once for all its iterations, or the
-    materials pair, from which the record for ``config`` is built here;
-    ``config`` also says whether the inactive terms are dropped.  On the
-    active samples the form is ``penalty J J + M J + J M - gamma D D``; on
-    the inactive ones the stabilisation ``-sum c_k R_k R_k``, unless
-    dropped.  Entries whose dof index in ``data.dofs`` is negative are
-    left out, so data renumbered onto the free dofs (fixed dofs mapped to
-    -1) assembles the constrained matrix directly.
+    ``m`` is the variant's ``Mortar`` record at the samples of ``data``,
+    which ``solve`` builds once for all its iterations; ``config`` says
+    whether the inactive terms are dropped.  On the active samples the
+    form is ``penalty J J + M J + J M - gamma D D``; on the inactive ones
+    the stabilisation ``-sum c_k R_k R_k``, unless dropped.  Entries whose
+    dof index in ``data.dofs`` is negative are left out, so data
+    renumbered onto the free dofs (fixed dofs mapped to -1) assembles the
+    constrained matrix directly.
     """
     if active.shape != (data.num_samples,):
         raise ValueError(
             f"active indicator has length {active.shape}, expected {data.num_samples}"
         )
-    m = weights if isinstance(weights, Mortar) else mortar(data, weights, config)
     T1, T2, J = data.t1, data.t2, data.jump
     M = combine(m.traction, T1, T2)
 
@@ -552,7 +538,7 @@ def solve(config: NitscheConfig, problem: ContactProblem, start=None) -> SolveRe
     history = []
     u_prev = None
 
-    for it in range(1, config.max_iterations + 1):
+    for it in range(1, MAX_ITERATIONS + 1):
         Af = Af0 + assemble_nitsche(reduced, m, config, active, free.size)
         u = expand(_solve_reduced(Af, bf), free, problem.num_dofs)
         lh = lh_values(data, m, u)
@@ -579,7 +565,7 @@ def solve(config: NitscheConfig, problem: ContactProblem, start=None) -> SolveRe
         u_prev = u
 
     raise NonconvergenceError(
-        f"active set did not settle within {config.max_iterations} iterations", history
+        f"active set did not settle within {MAX_ITERATIONS} iterations", history
     )
 
 

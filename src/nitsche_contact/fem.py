@@ -286,23 +286,6 @@ def _unit_gradients(grads: np.ndarray) -> np.ndarray:
     return G.reshape(grads.shape[:-2] + (-1, 2, 2))
 
 
-def traction_split(sigma: np.ndarray, n: np.ndarray, body: int):
-    """Split a traction into the scalar normal part and the tangential vector.
-
-    Both bodies use their own outward normal; because the normal enters
-    quadratically, opposite normals report the same scalar, so the two
-    sides of a compressed interface agree in sign (negative).
-    """
-    n = np.asarray(n, dtype=float)
-    if abs(np.hypot(*n) - 1.0) > 1e-12:
-        raise ValueError(f"normal {n} is not a unit vector")
-    if body not in (1, 2):
-        raise ValueError(f"body must be 1 or 2, got {body}")
-    t = np.asarray(sigma, dtype=float) @ n
-    sigma_n = float(t @ n)
-    return sigma_n, t - sigma_n * n
-
-
 def elastic_moduli_rows(grads: np.ndarray, n: np.ndarray, mat: MaterialParams):
     """Rows of sigma_nn and of the full traction for local scalar gradients.
 

@@ -10,9 +10,10 @@ complementarity problem:
     lambda_q >= 0,   g_q >= 0,   lambda_q * g_q = 0,
 
 with ``g_q`` the weighted residual between the multiplier and the
-eliminated-pressure expression.  Small instances are solved by
-enumerating active patterns and verifying each candidate independently;
-larger ones by a primal-dual active-set iteration on the samples.
+eliminated-pressure expression.  It is solved by one of two methods,
+named by the caller: ``enumerate`` tries every active pattern of a tiny
+instance and verifies each candidate independently; ``pdas`` runs a
+primal-dual active-set iteration on the samples.
 
 This path exists to certify that the displacement-only solver and its
 pressure reconstruction coincide with the explicit mixed solution.
@@ -40,6 +41,8 @@ from .contact import (
 )
 
 ENUMERATION_SAMPLE_CAP = 12
+TOL = 1e-9            # complementarity tolerance of an accepted solution
+MAX_ITERATIONS = 40   # primal-dual active-set iterations
 
 
 class InfeasibleError(RuntimeError):
@@ -131,10 +134,6 @@ def _solve_pattern(system: MixedSystem, pattern: np.ndarray):
     return x[: system.n_u], x[system.n_u:]
 
 
-def _lh_of(system: MixedSystem, u: np.ndarray) -> np.ndarray:
-    return lh_values(system.data, system.mortar, u)
-
-
 def check_vi_residual(system: MixedSystem, u: np.ndarray, lam: np.ndarray) -> float:
     """Maximum complementarity violation of a candidate mixed solution.
 
@@ -142,7 +141,7 @@ def check_vi_residual(system: MixedSystem, u: np.ndarray, lam: np.ndarray) -> fl
     lambda >= 0, lambda - l_h(u) >= 0 and lambda (lambda - l_h(u)) = 0
     at every sample; the positive sample weights drop out.
     """
-    r = lam - _lh_of(system, u)
+    r = lam - lh_values(system.data, system.mortar, u)
     scale = max(1.0, float(np.abs(lam).max(initial=0.0)))
     return max(
         float(np.maximum(-lam, 0.0).max(initial=0.0)),
@@ -151,20 +150,17 @@ def check_vi_residual(system: MixedSystem, u: np.ndarray, lam: np.ndarray) -> fl
     )
 
 
-def solve_mixed(problem: ContactProblem, config: NitscheConfig,
-                method: str = "auto", tol: float = 1e-9,
-                max_iterations: int = 40) -> MixedResult:
+def solve_mixed(problem: ContactProblem, config: NitscheConfig, method: str) -> MixedResult:
     """Solve the stabilised mixed contact problem.
 
     ``method='enumerate'`` tries every active pattern and returns the
     first consistent one (instances up to ``ENUMERATION_SAMPLE_CAP``
-    samples); ``'pdas'`` runs the primal-dual active-set iteration;
-    ``'auto'`` picks enumeration for tiny instances.
+    samples); ``'pdas'`` runs the primal-dual active-set iteration.
     """
+    if method not in ("enumerate", "pdas"):
+        raise ValueError(f"unknown method {method!r}; choose 'enumerate' or 'pdas'")
     system = build_mixed_system(problem, config)
     ns = system.n_lam
-    if method == "auto":
-        method = "enumerate" if ns <= ENUMERATION_SAMPLE_CAP else "pdas"
 
     if method == "enumerate":
         if ns > ENUMERATION_SAMPLE_CAP:
@@ -180,9 +176,9 @@ def solve_mixed(problem: ContactProblem, config: NitscheConfig,
                 u, lam = _solve_pattern(system, pattern)
             except Exception:
                 continue
-            lh = _lh_of(system, u)
-            ok = np.all(lam[pattern] >= -tol) and np.all(lh[~pattern] <= tol)
-            if ok and check_vi_residual(system, u, np.maximum(lam, 0.0)) <= tol:
+            lh = lh_values(system.data, system.mortar, u)
+            ok = np.all(lam[pattern] >= -TOL) and np.all(lh[~pattern] <= TOL)
+            if ok and check_vi_residual(system, u, np.maximum(lam, 0.0)) <= TOL:
                 return MixedResult(system=system, u=u, lam=np.maximum(lam, 0.0),
                                    pattern=pattern, iterations=tried)
         raise InfeasibleError(
@@ -190,18 +186,15 @@ def solve_mixed(problem: ContactProblem, config: NitscheConfig,
             "check the stabilisation parameter"
         )
 
-    if method != "pdas":
-        raise ValueError(f"unknown method {method!r}")
-
     pattern = np.ones(ns, dtype=bool)
     seen = {pattern.tobytes()}
-    for it in range(1, max_iterations + 1):
+    for it in range(1, MAX_ITERATIONS + 1):
         u, lam = _solve_pattern(system, pattern)
-        lh = _lh_of(system, u)
+        lh = lh_values(system.data, system.mortar, u)
         new_pattern = lh > 0.0
         if np.array_equal(new_pattern, pattern):
             lam = np.where(pattern, lam, 0.0)
-            if check_vi_residual(system, u, lam) > tol:
+            if check_vi_residual(system, u, lam) > TOL:
                 raise InfeasibleError("stationary pattern violates complementarity")
             return MixedResult(system=system, u=u, lam=lam,
                                pattern=pattern, iterations=it)
@@ -210,4 +203,4 @@ def solve_mixed(problem: ContactProblem, config: NitscheConfig,
             raise InfeasibleError("active-set iteration cycled on the mixed system")
         seen.add(key)
         pattern = new_pattern
-    raise InfeasibleError(f"mixed active-set iteration did not settle in {max_iterations} steps")
+    raise InfeasibleError(f"mixed active-set iteration did not settle in {MAX_ITERATIONS} steps")

@@ -22,6 +22,7 @@ from nitsche_contact.contact import (
     build_interface_data,
     bulk_system,
     energy_norm,
+    mortar,
     solve,
 )
 from nitsche_contact.estimator import report
@@ -253,7 +254,7 @@ def test_criterion_9_property_suite(pressing_studies, bending_adaptive_p2):
     for variant in VARIANTS:
         cfg = NitscheConfig(variant=variant, alpha=1e-3, drop_inactive_terms=False)
         A0, _ = bulk_system(problem)
-        A = A0 + assemble_nitsche(data, problem.materials, cfg,
+        A = A0 + assemble_nitsche(data, mortar(data, problem.materials, cfg), cfg,
                                   rng.rand(data.num_samples) > 0.5, problem.num_dofs)
         sym_ok &= abs(A - A.T).max() < 1e-12 * abs(A).max()
     checks["system-symmetry<=1e-12"] = sym_ok

@@ -53,6 +53,10 @@ class TestDorfler:
     def test_tie_break_deterministic(self):
         marked = mark_dorfler(np.array([1.0, 1.0, 1.0, 1.0]), 0.5)
         assert list(marked) == [0, 1]
+        # twins a few ulp apart tie, in either order: the lower id is marked
+        twin = 1.0 + 4 * np.finfo(float).eps
+        for vals in ([0.1, 1.0, 0.1, twin], [0.1, twin, 0.1, 1.0]):
+            assert list(mark_dorfler(np.array(vals), 0.4)) == [1]
 
     def test_invalid_theta(self):
         with pytest.raises(ValueError):

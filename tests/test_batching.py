@@ -27,6 +27,7 @@ from nitsche_contact.contact import (
     assemble_nitsche,
     build_interface_data,
     bulk_system,
+    mortar,
     solve,
 )
 from nitsche_contact.estimator import contact_facet_estimator, vertex_stresses
@@ -181,7 +182,8 @@ def test_batched_kernels_match_sample_loops(case, draw):
         looped = np.array([ref[i] @ u[data.dofs[data.seg_of[i]]] for i in range(ns)])
         assert close(data.rows_dot(rows, u), looped)
 
-    N = assemble_nitsche(data, problem.materials, config, active, n)
+    m = mortar(data, problem.materials, config)
+    N = assemble_nitsche(data, m, config, active, n)
     assert N.shape == (n, n)
     assert close(N, reference_nitsche(data, problem.materials, config, active, n))
 
@@ -190,8 +192,8 @@ def test_batched_kernels_match_sample_loops(case, draw):
     Nf, _, free = constrain(N, np.zeros(n), fixed)
     local = np.full(n, -1)
     local[free] = np.arange(free.size)
-    reduced = assemble_nitsche(replace(data, dofs=local[data.dofs]), problem.materials,
-                               config, active, free.size)
+    reduced = assemble_nitsche(replace(data, dofs=local[data.dofs]), m, config, active,
+                               free.size)
     assert close(reduced, Nf)
 
     system = build_mixed_system(problem, config)

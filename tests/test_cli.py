@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,7 @@ from nitsche_contact.cli import (
     write_convergence_csv,
 )
 from nitsche_contact.adapt import ConvergenceRecord, regression_slope
-from nitsche_contact.contact import NonconvergenceError
+from nitsche_contact.contact import NonconvergenceError, lh_values, mortar, solve
 from nitsche_contact.mesh import parse_mesh
 
 
@@ -106,8 +108,15 @@ class TestVerifyCommand:
         assert "FAIL" not in out
         assert "patch-test-p1-energy" in out
 
-    def test_fault_injection_fails_positivity(self, capsys):
-        rc = main(["verify", "--oracle-instances", "1", "--unclamped-multiplier"])
+    def test_fault_injection_fails_positivity(self, capsys, monkeypatch):
+        # a solve that returns the eliminated multiplier unclamped must be caught
+        def unclamped(config, problem, start=None):
+            res = solve(config, problem, start)
+            m = mortar(res.data, problem.materials, config)
+            return replace(res, lam=lh_values(res.data, m, res.u))
+
+        monkeypatch.setattr(cli, "solve", unclamped)
+        rc = main(["verify", "--oracle-instances", "1"])
         assert rc == 1
         assert "FAIL pressure-nonnegative-bending" in capsys.readouterr().out
 
@@ -163,6 +172,8 @@ class TestNumericFlags:
         ("study", "--theta", "nan"),
         ("study", "--max-dofs", "-5"),
         ("study", "--max-dofs", "0"),
+        ("study", "--resolutions", "0,2,3,4"),
+        ("mesh-dump", "--resolutions", "2,2,-3,4"),
     ])
     def test_bad_value_is_usage_error(self, tmp_path, capsys, command, flag, value):
         out = [] if command == "verify" else ["--out", str(tmp_path / "out")]
@@ -176,6 +187,7 @@ class TestNumericFlags:
         ("oracle-instances=-1", "oracle_instances"),
         ("theta=1.5", "theta"),
         ("max-dofs=-5", "max_dofs"),
+        ("resolutions=0,2,3,4", "resolutions"),
     ])
     def test_bad_value_in_config_is_usage_error(self, tmp_path, capsys, line, key):
         cfg = tmp_path / "run.cfg"

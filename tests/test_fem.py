@@ -20,7 +20,6 @@ from nitsche_contact.fem import (
     shape_values,
     strain,
     stress,
-    traction_split,
     triangle_rule,
 )
 from nitsche_contact.adapt import initial_meshes, make_experiment
@@ -183,40 +182,6 @@ class TestElasticModuliRows:
                     expect = stress(STEEL_LIKE, strain(field, t, ref[q])) @ n
                     assert np.allclose(trac[q, j], expect, rtol=0.0, atol=1e-12)
                     assert snn[q, j] == pytest.approx(expect @ n, rel=1e-12, abs=1e-12)
-
-
-class TestTractionSplit:
-    def test_uniaxial_compression_body1(self):
-        sigma = np.array([[-1.0, 0.0], [0.0, 0.0]])
-        sn, st = traction_split(sigma, (1.0, 0.0), body=1)
-        assert sn == pytest.approx(-1.0)
-        assert np.allclose(st, 0.0)
-
-    def test_uniaxial_compression_body2_same_sign(self):
-        sigma = np.array([[-1.0, 0.0], [0.0, 0.0]])
-        sn, st = traction_split(sigma, (-1.0, 0.0), body=2)
-        assert sn == pytest.approx(-1.0)
-        assert np.allclose(st, 0.0)
-
-    def test_pure_shear(self):
-        sigma = np.array([[0.0, 1.0], [1.0, 0.0]])
-        sn, st = traction_split(sigma, (1.0, 0.0), body=1)
-        assert sn == pytest.approx(0.0)
-        assert np.allclose(st, [0.0, 1.0])
-
-    def test_reconstruction_and_orthogonality(self):
-        rng = np.random.RandomState(2)
-        s = rng.randn(2, 2)
-        s = 0.5 * (s + s.T)
-        th = 0.7
-        n = np.array([np.cos(th), np.sin(th)])
-        sn, st = traction_split(s, n, body=1)
-        assert np.allclose(sn * n + st, s @ n, atol=1e-14)
-        assert st @ n == pytest.approx(0.0, abs=1e-14)
-
-    def test_non_unit_normal(self):
-        with pytest.raises(ValueError):
-            traction_split(np.eye(2), (1.0, 1.0), body=1)
 
 
 class TestBulk:
