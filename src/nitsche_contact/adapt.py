@@ -315,18 +315,11 @@ def run_study(cfg: StudyConfig) -> StudyOutput:
 
 
 def regression_slope(records, window: slice = slice(1, None)) -> float:
-    """Least-squares slope of log(eta + S) against log(N).
-
-    Accepts convergence records or raw ``(N, value)`` pairs.
-    """
-    if len(records) and isinstance(records[0], ConvergenceRecord):
-        pairs = [(r.ndofs, r.eta_plus_S) for r in records]
-    else:
-        pairs = [(n, v) for n, v in records]
-    pairs = pairs[window]
-    if len(pairs) < 2:
+    """Least-squares slope of log(eta + S) against log(N) over the
+    convergence records in ``window``."""
+    records = records[window]
+    if len(records) < 2:
         raise ValueError("need at least two records in the regression window")
-    x = np.log([p[0] for p in pairs])
-    y = np.log([p[1] for p in pairs])
-    slope = np.polyfit(x, y, 1)[0]
-    return float(slope)
+    x = np.log([r.ndofs for r in records])
+    y = np.log([r.eta_plus_S for r in records])
+    return float(np.polyfit(x, y, 1)[0])

@@ -35,7 +35,7 @@ an exact parametrisation of the segmentwise polynomial multiplier.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import NamedTuple, Optional
 
@@ -55,6 +55,7 @@ from .fem import (
     expand,
     gauss1d,
     pin_dof,
+    scatter,
     shape_gradients,
     shape_values,
 )
@@ -280,9 +281,7 @@ def _interface_data(problem: ContactProblem) -> InterfaceData:
         jump.append(-un)
         cols = slice(2 * nl * (body - 1), 2 * nl * body)
         t[body - 1, :, cols], tan[body - 1, :, cols] = snn, trac @ tangent
-        nodes = space.cell_nodes[tri]
-        dofs.append(problem.offset(body)
-                    + np.stack([2 * nodes, 2 * nodes + 1], axis=-1).reshape(nseg, 2 * nl))
+        dofs.append(problem.offset(body) + space.cell_dofs[tri])
 
     return InterfaceData(
         points=x.reshape(ns, 2),
@@ -383,10 +382,9 @@ def assemble_nitsche(data: InterfaceData, m: Mortar, config: NitscheConfig,
     which ``solve`` builds once for all its iterations; ``config`` says
     whether the inactive terms are dropped.  On the active samples the
     form is ``penalty J J + M J + J M - gamma D D``; on the inactive ones
-    the stabilisation ``-sum c_k R_k R_k``, unless dropped.  Entries whose
-    dof index in ``data.dofs`` is negative are left out, so data
-    renumbered onto the free dofs (fixed dofs mapped to -1) assembles the
-    constrained matrix directly.
+    the stabilisation ``-sum c_k R_k R_k``, unless dropped.  The blocks
+    go through ``scatter``, so data renumbered onto the free dofs
+    assembles the constrained matrix directly.
     """
     if active.shape != (data.num_samples,):
         raise ValueError(
@@ -407,12 +405,7 @@ def assemble_nitsche(data: InterfaceData, m: Mortar, config: NitscheConfig,
             R = M if weights is m.traction else combine(weights, T1, T2)
             terms.append((-off * c, R, R))
 
-    K = data.outer_sums(terms)
-    npatch = data.dofs.shape[1]
-    rows = np.repeat(data.dofs, npatch, axis=1)
-    cols = np.tile(data.dofs, (1, npatch))
-    keep = (rows >= 0) & (cols >= 0)
-    return sp.coo_matrix((K[keep], (rows[keep], cols[keep])), shape=(ndofs, ndofs)).tocsr()
+    return scatter(data.outer_sums(terms), data.dofs, ndofs)
 
 
 @dataclass
@@ -420,11 +413,11 @@ class SolveResult:
     problem: ContactProblem
     config: NitscheConfig
     data: InterfaceData
+    mortar: Mortar            # the variant's record at the samples of ``data``
     u: np.ndarray
     active: np.ndarray
     lam: np.ndarray
     iterations: int
-    history: list = field(default_factory=list)
 
     @property
     def fields(self):
@@ -440,12 +433,6 @@ class SolveResult:
     def traction_samples(self, body: int) -> np.ndarray:
         rows = self.data.t1 if body == 1 else self.data.t2
         return self.data.rows_dot(rows, self.u)
-
-
-def _solve_linear(A, b, fixed, ndofs):
-    """Solve ``A u = b`` with the ``fixed`` dofs held at zero."""
-    Af, bf, free = constrain(A, b, fixed)
-    return expand(_solve_reduced(Af, bf), free, ndofs)
 
 
 def _solve_reduced(Af, bf):
@@ -552,8 +539,8 @@ def solve(config: NitscheConfig, problem: ContactProblem, start=None) -> SolveRe
         history.append({"iteration": it, "n_active": int(new_active.sum()), "rel_update": rel})
         if np.array_equal(new_active, active):
             return SolveResult(
-                problem=problem, config=config, data=data, u=u,
-                active=active, lam=np.maximum(lh, 0.0), iterations=it, history=history,
+                problem=problem, config=config, data=data, mortar=m, u=u,
+                active=active, lam=np.maximum(lh, 0.0), iterations=it,
             )
         key = new_active.tobytes()
         if key in seen:

@@ -21,7 +21,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .contact import SolveResult, combine, mortar
+from .contact import SolveResult, combine
 from .fem import (
     FeSpace,
     MaterialParams,
@@ -91,7 +91,7 @@ class EstimatorReport:
 
 def _cell_coefficients(space: FeSpace, coeffs: np.ndarray) -> np.ndarray:
     """Coefficients of the local scalar basis per component, (nt, 2, nl)."""
-    return coeffs[2 * space.cell_nodes[:, None, :] + np.arange(2)[:, None]]
+    return coeffs[space.cell_dofs.reshape(len(space.cell_dofs), -1, 2).swapaxes(1, 2)]
 
 
 def vertex_stresses(space: FeSpace, mat: MaterialParams, coeffs: np.ndarray) -> np.ndarray:
@@ -133,12 +133,9 @@ def element_estimator(space: FeSpace, mat: MaterialParams, coeffs: np.ndarray,
 def _facet_traction(mesh, sig, facets, side, xi):
     """Traction sigma n at the parameters ``xi`` along each facet from the
     vertex stresses ``sig`` of the triangle on ``side`` (0, 1, or both as
-    a leading axis), the unit normal (edge turned clockwise) and length."""
-    va = mesh.facets[facets, 0]
-    vb = mesh.facets[facets, 1]
-    e = mesh.vertices[vb] - mesh.vertices[va]
-    length = np.hypot(e[:, 0], e[:, 1])
-    n = np.column_stack([e[:, 1], -e[:, 0]]) / length[:, None]
+    a leading axis), n the facet normal out of side 0."""
+    n = mesh.facet_normals(facets)
+    va, vb = mesh.facets[facets].T
     tris = mesh.facet_triangles[facets][:, side].T        # ([nsides,] nf)
     # local index of the facet endpoints within the adjacent triangle
     tv = mesh.triangles[tris]
@@ -146,8 +143,7 @@ def _facet_traction(mesh, sig, facets, side, xi):
     lb = (tv == vb[:, None]).argmax(axis=-1)
     ta = (sig[tris, la] @ n[:, :, None])[..., 0]          # ([nsides,] nf, 2)
     tb = (sig[tris, lb] @ n[:, :, None])[..., 0]
-    tr = ta[..., None, :] * (1 - xi)[:, None] + tb[..., None, :] * xi[:, None]
-    return tr, n, length
+    return ta[..., None, :] * (1 - xi)[:, None] + tb[..., None, :] * xi[:, None]
 
 
 def interior_facet_estimator(space: FeSpace, mat: MaterialParams, sig: np.ndarray) -> np.ndarray:
@@ -157,8 +153,9 @@ def interior_facet_estimator(space: FeSpace, mat: MaterialParams, sig: np.ndarra
     out = np.zeros(mesh.num_facets)
     interior = np.flatnonzero(mesh.facet_triangles[:, 1] >= 0)
     xi, wg = gauss1d(space.degree + 1)
-    tr, _, length = _facet_traction(mesh, sig, interior, (0, 1), xi)
+    tr = _facet_traction(mesh, sig, interior, (0, 1), xi)
     jump = tr[0] - tr[1]
+    length = mesh.facet_lengths()[interior]
     out[interior] = length**2 / mat.mu * np.einsum("q,fqa,fqa->f", wg, jump, jump)
     return out
 
@@ -171,11 +168,8 @@ def neumann_facet_estimator(space: FeSpace, mat: MaterialParams, sig: np.ndarray
     out = np.zeros(mesh.num_facets)
     neumann = mesh.facets_of_kind("neumann")
     xi, wg = gauss1d(space.degree + 1)
-    tr, n, length = _facet_traction(mesh, sig, neumann, 0, xi)
-    # outward orientation: flip tractions whose normal points into the element
-    cents = mesh.vertices[mesh.triangles[mesh.facet_triangles[neumann, 0]]].mean(axis=1)
-    tr[np.einsum("fa,fa->f", n, mesh.facet_midpoints()[neumann] - cents) < 0] *= -1.0
-    tr -= boundary_traction(mesh, neumann, xi)
+    tr = _facet_traction(mesh, sig, neumann, 0, xi) - boundary_traction(mesh, neumann, xi)
+    length = mesh.facet_lengths()[neumann]
     out[neumann] = length**2 / mat.mu * np.einsum("q,fqa,fqa->f", wg, tr, tr)
     return out
 
@@ -202,13 +196,6 @@ def oscillation(space: FeSpace, f: Optional[Callable]) -> np.ndarray:
     return hK * np.sqrt(np.maximum(err2, 0.0))
 
 
-def body_stresses(result: SolveResult) -> tuple:
-    """``vertex_stresses`` of both bodies for a solve."""
-    problem = result.problem
-    return tuple(vertex_stresses(space, mat, result.u[problem.offset(i + 1):][:space.num_dofs])
-                 for i, (space, mat) in enumerate(zip(problem.spaces, problem.materials)))
-
-
 def contact_facet_estimator(result: SolveResult):
     """Squared contact-facet terms for both bodies plus the global
     complementarity term.
@@ -219,7 +206,7 @@ def contact_facet_estimator(result: SolveResult):
     The body tractions, normal and tangential, and the
     normal-displacement jump are the solve's interface rows applied to
     ``result.u``; nothing here re-derives a trace.  The
-    pressure-consistency terms are the variant's ``mortar`` record: the
+    pressure-consistency terms are the solve's ``Mortar`` record: the
     weighted variant charges both bodies, master-slave only the softer
     body, and the inverse-penalty variant splits the weighted mean
     residual half/half between the parent facets.  Tangential-traction
@@ -240,7 +227,7 @@ def contact_facet_estimator(result: SolveResult):
     S2 = float((data.weights * np.maximum(jump, 0.0) * lam).sum())
     terms = [(h[i] / mats[i].mu) * tang[i] ** 2
              + (mats[i].mu / h[i]) * np.maximum(-jump, 0.0) ** 2 for i in range(2)]
-    for body, weight, traction in mortar(data, mats, result.config).consistency:
+    for body, weight, traction in result.mortar.consistency:
         terms[body - 1] = terms[body - 1] + weight * (lam + combine(traction, *snn)) ** 2
     for i in range(2):
         per_seg = (data.weights * terms[i]).reshape(nseg, data.n_per_seg).sum(axis=1)
@@ -251,7 +238,6 @@ def contact_facet_estimator(result: SolveResult):
 def report(result: SolveResult) -> EstimatorReport:
     """Full estimator evaluation for a converged solve."""
     problem = result.problem
-    stresses = body_stresses(result)
     element2 = []
     interior2 = []
     neumann2 = []
@@ -262,9 +248,10 @@ def report(result: SolveResult) -> EstimatorReport:
         off = problem.offset(i + 1)
         coeffs = result.u[off:off + space.num_dofs]
         f = problem.body_loads[i]
+        sig = vertex_stresses(space, mat, coeffs)
         element2.append(element_estimator(space, mat, coeffs, f))
-        interior2.append(interior_facet_estimator(space, mat, stresses[i]))
-        neumann2.append(neumann_facet_estimator(space, mat, stresses[i]))
+        interior2.append(interior_facet_estimator(space, mat, sig))
+        neumann2.append(neumann_facet_estimator(space, mat, sig))
         osc.append(oscillation(space, f))
     contact2, S2 = contact_facet_estimator(result)
 

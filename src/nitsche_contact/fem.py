@@ -157,7 +157,8 @@ class FeSpace:
 
     ``cell_nodes[t]`` lists the scalar node ids of triangle ``t``
     (3 vertices for P1, plus the 3 opposite-facet midpoints for P2);
-    vector dofs are ``2 * node + comp``.
+    vector dofs are ``2 * node + comp``, and ``cell_dofs`` is the one
+    statement of that map over all elements.
     """
 
     mesh: Mesh
@@ -191,6 +192,14 @@ class FeSpace:
     @property
     def nodes_per_cell(self) -> int:
         return 3 if self.degree == 1 else 6
+
+    @cached_property
+    def cell_dofs(self) -> np.ndarray:
+        """Vector dof ids of every element, (nt, 2 nl) read-only, in the
+        order of the local vector dofs ``2 l + c``."""
+        dofs = (2 * self.cell_nodes[:, :, None] + np.arange(2)).reshape(len(self.cell_nodes), -1)
+        dofs.setflags(write=False)
+        return dofs
 
     def geometry(self):
         """Affine maps of all elements: (A, invA, det) stacked over cells,
@@ -315,12 +324,23 @@ def assemble_bulk(space: FeSpace, mat: MaterialParams, quad_degree: Optional[int
     flat = lambda X: X.swapaxes(1, 2).reshape(nt, nd, 4 * nq)
     local = flat(S) @ flat(G).swapaxes(1, 2)
     del G, S  # free the per-point arrays before the sparse conversion peaks
+    return scatter(local, space.cell_dofs, space.num_dofs)
 
-    dofs = np.stack([2 * space.cell_nodes, 2 * space.cell_nodes + 1], axis=2).reshape(nt, nd)
-    rows = np.repeat(dofs, nd, axis=1).ravel()
-    cols = np.tile(dofs, (1, nd)).ravel()
-    K = sp.coo_matrix((local.ravel(), (rows, cols)), shape=(space.num_dofs, space.num_dofs))
-    return K.tocsr()
+
+def scatter(blocks: np.ndarray, dofs: np.ndarray, n: int) -> sp.csr_matrix:
+    """Sum local blocks (nb, nd, nd) into an (n, n) matrix, block ``k``
+    at the rows and columns ``dofs[k]`` (nb, nd).  Entries whose dof id
+    is negative are left out, so blocks over dofs renumbered onto the
+    free dofs (fixed dofs mapped to -1) assemble the constrained matrix
+    directly."""
+    nd = dofs.shape[1]
+    rows = np.repeat(dofs, nd, axis=1)
+    cols = np.tile(dofs, (1, nd))
+    vals = blocks.reshape(rows.shape)
+    if dofs.min(initial=0) < 0:
+        keep = (rows >= 0) & (cols >= 0)
+        rows, cols, vals = rows[keep], cols[keep], vals[keep]
+    return sp.coo_matrix((vals.ravel(), (rows.ravel(), cols.ravel())), shape=(n, n)).tocsr()
 
 
 def assemble_load(space: FeSpace, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
@@ -332,7 +352,7 @@ def assemble_load(space: FeSpace, f: Callable[[np.ndarray], np.ndarray]) -> np.n
     fv = f(xq.reshape(-1, 2)).reshape(xq.shape)  # (nt, nq, 2)
     contrib = np.einsum("q,tqc,ql,t->tlc", w, fv, phi, det)  # (nt, nl, 2)
     b = np.zeros(space.num_dofs)
-    np.add.at(b, 2 * space.cell_nodes[..., None] + np.arange(2), contrib)
+    np.add.at(b, space.cell_dofs, contrib.reshape(space.cell_dofs.shape))
     return b
 
 
@@ -370,7 +390,7 @@ def assemble_boundary_load(space: FeSpace) -> np.ndarray:
     phi = shape_values(space.degree, ref.reshape(-1, 2)).reshape(len(facets), len(xi), -1)
     contrib = np.einsum("q,fql,fqc,f->flc", wg, phi, g, mesh.facet_lengths()[facets])
     b = np.zeros(space.num_dofs)
-    np.add.at(b, 2 * space.cell_nodes[tri][..., None] + np.arange(2), contrib)
+    np.add.at(b, space.cell_dofs[tri], contrib.reshape(len(tri), -1))
     return b
 
 

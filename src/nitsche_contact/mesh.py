@@ -103,15 +103,23 @@ class Mesh:
         return self.facets.shape[0]
 
     def signed_areas(self) -> np.ndarray:
-        p = self.vertices
-        t = self.triangles
-        d1 = p[t[:, 1]] - p[t[:, 0]]
-        d2 = p[t[:, 2]] - p[t[:, 0]]
-        return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+        return _signed_areas(self.vertices, self.triangles)
 
     def facet_lengths(self) -> np.ndarray:
         e = self.vertices[self.facets[:, 1]] - self.vertices[self.facets[:, 0]]
         return np.hypot(e[:, 0], e[:, 1])
+
+    def facet_normals(self, facets: np.ndarray) -> np.ndarray:
+        """Unit normals (n, 2) of ``facets`` pointing out of their first
+        triangle ``facet_triangles[f, 0]``, so outward on the boundary."""
+        a, b = self.facets[facets].T
+        e = self.vertices[b] - self.vertices[a]
+        n = np.column_stack([e[:, 1], -e[:, 0]]) / np.hypot(e[:, 0], e[:, 1])[:, None]
+        # triangles are counterclockwise: e turned clockwise points out of
+        # the triangle that runs from a to b, and into the other one
+        tri = self.triangles[self.facet_triangles[facets, 0]]
+        after_a = tri[np.arange(len(tri)), ((tri == a[:, None]).argmax(axis=1) + 1) % 3]
+        return np.where((after_a == b)[:, None], n, -n)
 
     def facet_midpoints(self) -> np.ndarray:
         return 0.5 * (self.vertices[self.facets[:, 0]] + self.vertices[self.facets[:, 1]])
@@ -163,6 +171,12 @@ def geometric_tolerance(*meshes: Mesh) -> float:
     return 1e-12 * float(np.hypot(*(hi - lo)))
 
 
+def _signed_areas(vertices, triangles) -> np.ndarray:
+    d1 = vertices[triangles[:, 1]] - vertices[triangles[:, 0]]
+    d2 = vertices[triangles[:, 2]] - vertices[triangles[:, 0]]
+    return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+
+
 def _build_topology(vertices, triangles):
     """Facet table from the triangle list; raises on inverted triangles.
 
@@ -172,9 +186,7 @@ def _build_topology(vertices, triangles):
     edge array (edge k of every triangle, for k = 0, 1, 2).
     """
     t = triangles
-    d1 = vertices[t[:, 1]] - vertices[t[:, 0]]
-    d2 = vertices[t[:, 2]] - vertices[t[:, 0]]
-    areas = 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+    areas = _signed_areas(vertices, t)
     if np.any(areas <= 0):
         bad = int(np.argmin(areas))
         raise GeometryError(f"triangle {bad} has non-positive area {areas[bad]}")
@@ -334,17 +346,6 @@ def _facet_intervals(mesh, facet_ids, origin, direction, tol):
     return t0, t1, facet_ids
 
 
-def _outward_normal(mesh, facet, direction):
-    a = mesh.vertices[mesh.facets[facet, 0]]
-    b = mesh.vertices[mesh.facets[facet, 1]]
-    tri = mesh.facet_triangles[facet, 0]
-    opposite = [v for v in mesh.triangles[tri] if v not in mesh.facets[facet]][0]
-    n = np.array([direction[1], -direction[0]])
-    if n @ (mesh.vertices[opposite] - 0.5 * (a + b)) > 0:
-        n = -n
-    return n
-
-
 def _parent_facets(intervals, t, tol):
     """Facet and length of the first interval ``[t0 - tol, t1 + tol]`` holding
     each parameter in ``t``.  The intervals are sorted by ``t0``, so the first
@@ -383,7 +384,7 @@ def build_interface(mesh1: Mesh, mesh2: Mesh) -> Interface:
     if hi - lo <= tol:
         raise GeometryError("the contact traces of the two bodies do not overlap")
 
-    normal = _outward_normal(mesh1, int(g1[0]), direction)
+    normal = mesh1.facet_normals(g1[:1])[0]
     ends = np.concatenate([iv1[0], iv1[1], iv2[0], iv2[1]])
     cuts = np.sort(np.concatenate([[lo, hi], ends[(lo + tol < ends) & (ends < hi - tol)]]))
     keep = np.concatenate([[True], np.diff(cuts) > tol])

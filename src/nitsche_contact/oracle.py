@@ -32,13 +32,14 @@ from .contact import (
     InterfaceData,
     Mortar,
     NitscheConfig,
-    _solve_linear,
+    _solve_reduced,
     build_interface_data,
     bulk_system,
     combine,
     lh_values,
     mortar,
 )
+from .fem import constrain, expand, scatter
 
 ENUMERATION_SAMPLE_CAP = 12
 TOL = 1e-9            # complementarity tolerance of an accepted solution
@@ -89,9 +90,9 @@ def build_mixed_system(problem: ContactProblem, config: NitscheConfig) -> MixedS
     stab = [(c, combine(weights, data.t1, data.t2)) for c, weights in m.stab]
 
     w = data.weights
-    npatch = data.dofs.shape[1]
+    n = n_u + n_l
     # displacement-displacement stabilisation: -sum c_k R_k^T R_k, per segment
-    uu = data.outer_sums([(-w * c, R, R) for c, R in stab])
+    uu = scatter(data.outer_sums([(-w * c, R, R) for c, R in stab]), data.dofs, n)
     # displacement-multiplier coupling: -(jump + sum c_k R_k)
     coupling = -w[:, None] * data.jump
     for c, R in stab:
@@ -99,15 +100,13 @@ def build_mixed_system(problem: ContactProblem, config: NitscheConfig) -> MixedS
     d = data.dofs[data.seg_of]                       # (n_l, npatch)
     diag = n_u + np.arange(n_l)                      # multiplier unknowns
     mult = np.broadcast_to(diag[:, None], d.shape)
-
-    rows = np.concatenate([np.repeat(data.dofs, npatch, axis=1).ravel(),
-                           d.ravel(), mult.ravel(), diag])
-    cols = np.concatenate([np.tile(data.dofs, (1, npatch)).ravel(),
-                           mult.ravel(), d.ravel(), diag])
-    vals = np.concatenate([uu.ravel(), coupling.ravel(), coupling.ravel(),
+    rows = np.concatenate([d.ravel(), mult.ravel(), diag])
+    cols = np.concatenate([mult.ravel(), d.ravel(), diag])
+    vals = np.concatenate([coupling.ravel(), coupling.ravel(),
                            -w * m.c_q])    # multiplier-multiplier: -c_q
-    S = sp.coo_matrix((vals, (rows, cols)), shape=(n_u + n_l, n_u + n_l)).tocsr()
-    full = sp.bmat([[A, None], [None, sp.csr_matrix((n_l, n_l))]], format="csr") + S
+    full = A.copy()
+    full.resize((n, n))    # empty multiplier rows and columns; far cheaper than sp.bmat
+    full = full + uu + sp.coo_matrix((vals, (rows, cols)), shape=(n, n))
     rhs = np.concatenate([b, np.zeros(n_l)])
     return MixedSystem(problem=problem, config=config, data=data, mortar=m,
                        matrix=full, rhs=rhs)
@@ -128,9 +127,9 @@ def _solve_pattern(system: MixedSystem, pattern: np.ndarray):
     Active samples keep their saddle rows; inactive ones are eliminated
     like homogeneous Dirichlet constraints.
     """
-    n = system.n_u + system.n_lam
     fixed = np.concatenate([system.problem.fixed_mask(), ~pattern])
-    x = _solve_linear(system.matrix, system.rhs, fixed, n)
+    Af, bf, free = constrain(system.matrix, system.rhs, fixed)
+    x = expand(_solve_reduced(Af, bf), free, fixed.size)
     return x[: system.n_u], x[system.n_u:]
 
 

@@ -104,22 +104,31 @@ class TestDorfler:
         assert tuple(mark_dorfler(vals, theta)) == best
 
 
+def _records(pairs):
+    """Convergence records carrying only N and eta + S."""
+    return [ConvergenceRecord(step=k, ndofs=n, eta=v, S=0.0, eta_plus_S=v, eta_element=0.0,
+                              eta_interior=0.0, eta_contact=0.0, eta_neumann=0.0, iterations=1)
+            for k, (n, v) in enumerate(pairs)]
+
+
 class TestRegression:
     def test_exact_power_law(self):
-        assert regression_slope([(10, 1.0), (100, 0.1)], slice(0, None)) == pytest.approx(-1.0)
+        records = _records([(10, 1.0), (100, 0.1)])
+        assert regression_slope(records, slice(0, None)) == pytest.approx(-1.0)
 
     def test_flat(self):
-        assert regression_slope([(10, 1.0), (100, 1.0)], slice(0, None)) == pytest.approx(0.0)
+        records = _records([(10, 1.0), (100, 1.0)])
+        assert regression_slope(records, slice(0, None)) == pytest.approx(0.0)
 
     def test_reference_series(self):
         # uniform linear-element series of the squeezing benchmark
-        series = [
+        series = _records([
             (82, 0.03973469149724339),
             (272, 0.024543634683048224),
             (988, 0.014696965226563396),
             (3764, 0.008649341647060958),
             (14692, 0.00486546952937192),
-        ]
+        ])
         assert regression_slope(series, slice(0, None)) == pytest.approx(-0.4033, abs=1e-3)
         assert regression_slope([series[0], series[-1]], slice(0, None)) == pytest.approx(
             -0.4048, abs=1e-3
@@ -127,7 +136,7 @@ class TestRegression:
 
     def test_too_few_points(self):
         with pytest.raises(ValueError):
-            regression_slope([(10, 1.0)], slice(0, None))
+            regression_slope(_records([(10, 1.0)]), slice(0, None))
 
 
 class TestRunStudy:

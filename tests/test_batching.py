@@ -327,8 +327,9 @@ def test_contact_estimator_matches_segment_loop(case, seed):
     rng = np.random.default_rng(seed)
     config = NitscheConfig(variant=variant, alpha=1e-3)
     result = SolveResult(problem=problem, config=config, data=data,
+                         mortar=mortar(data, problem.materials, config),
                          u=1e-3 * rng.standard_normal(problem.num_dofs), active=None,
-                         lam=rng.standard_normal(data.num_samples), iterations=1, history=[])
+                         lam=rng.standard_normal(data.num_samples), iterations=1)
     (c1, c2), S2 = contact_facet_estimator(result)
     (r1, r2), rS2 = reference_contact_estimator(result)
     assert close(c1, r1) and close(c2, r2)

@@ -127,10 +127,6 @@ class TestLh:
         assert np.allclose(lh, m.penalty * delta, rtol=1e-10)
         assert (lh > 0).all()
 
-    def test_reconstruct_positive_part(self):
-        lh = np.array([-2.0, 3.0, 0.0])
-        assert np.array_equal(np.maximum(lh, 0.0), np.array([0.0, 3.0, 0.0]))
-
 
 class TestAssembly:
     @pytest.mark.parametrize("variant", ["weighted", "master-slave", "juntunen"])

@@ -47,11 +47,12 @@ def contact_pair(degree=1, res=((2, 2), (3, 4)), experiment="pressing", sweeps=0
 def synthetic_result(problem, u, config=None, lam=None):
     config = config or NitscheConfig(alpha=1e-2)
     data = build_interface_data(problem)
+    m = mortar(data, problem.materials, config)
     if lam is None:
-        lam = np.maximum(lh_values(data, mortar(data, problem.materials, config), u), 0.0)
+        lam = np.maximum(lh_values(data, m, u), 0.0)
     active = lam > 0
-    return SolveResult(problem=problem, config=config, data=data, u=u,
-                       active=active, lam=lam, iterations=1, history=[])
+    return SolveResult(problem=problem, config=config, data=data, mortar=m, u=u,
+                       active=active, lam=lam, iterations=1)
 
 
 class TestElement:

@@ -16,6 +16,7 @@ from nitsche_contact.fem import (
     expand,
     gauss1d,
     interpolate,
+    scatter,
     shape_gradients,
     shape_values,
     strain,
@@ -102,6 +103,15 @@ class TestBasis:
         m = body1_mesh(2, 3)
         assert FeSpace.build(m, 1).num_dofs == 2 * m.num_vertices
         assert FeSpace.build(m, 2).num_dofs == 2 * (m.num_vertices + m.num_facets)
+
+    @pytest.mark.parametrize("degree", [1, 2])
+    def test_cell_dofs_interleave_the_components(self, degree):
+        space = FeSpace.build(body1_mesh(2, 3), degree)
+        dofs = space.cell_dofs
+        assert dofs is space.cell_dofs and not dofs.flags.writeable
+        assert dofs.shape == (space.mesh.num_triangles, 2 * space.nodes_per_cell)
+        for t, nodes in enumerate(space.cell_nodes):
+            assert list(dofs[t]) == [2 * n + c for n in nodes for c in (0, 1)]
 
 
 class TestStrainStress:
@@ -253,6 +263,22 @@ class TestBulk:
                                                   * strain(u[1], s, x))
                              for s in shared for x, wq in zip(pts, w))
                 assert K[dofs[i], dofs[j]] == pytest.approx(expect, rel=1e-12, abs=1e-14)
+
+
+class TestScatter:
+    @pytest.mark.parametrize("dofs", [[[0, 2, 1], [2, 4, 3], [1, 3, 0]],
+                                      [[0, 2, 1], [2, -1, 3], [-1, 3, 0]]])
+    def test_sums_the_blocks_and_leaves_out_negative_ids(self, dofs):
+        dofs = np.array(dofs)
+        blocks = np.random.default_rng(0).standard_normal((3, 3, 3))
+        expect = np.zeros((5, 5))
+        for block, d in zip(blocks, dofs):
+            for i, j in np.ndindex(block.shape):
+                if d[i] >= 0 and d[j] >= 0:
+                    expect[d[i], d[j]] += block[i, j]
+        K = scatter(blocks, dofs, 5)
+        assert K.format == "csr"
+        assert np.allclose(K.toarray(), expect, rtol=1e-15, atol=0.0)
 
 
 class TestLoad:

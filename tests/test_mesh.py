@@ -261,6 +261,22 @@ class TestRefine:
         assert len(r.facets_of_kind(CONTACT)) == 2 * len(m.facets_of_kind(CONTACT))
         assert r.num_triangles == 4 * m.num_triangles
 
+    def test_facet_normals_point_out_of_the_first_triangle(self):
+        m = bisect_refine(uniform_refine(body1_mesh(2, 3), 1), [0, 3, 5])
+        n = m.facet_normals(np.arange(m.num_facets))
+        a, b = m.vertices[m.facets[:, 0]], m.vertices[m.facets[:, 1]]
+        assert np.allclose(np.hypot(n[:, 0], n[:, 1]), 1.0, rtol=1e-15, atol=0.0)
+        assert np.allclose(((b - a) * n).sum(axis=1), 0.0, rtol=0.0, atol=1e-15)
+        centroids = m.vertices[m.triangles].mean(axis=1)
+        for side, sign in ((0, 1), (1, -1)):
+            t = m.facet_triangles[:, side]
+            away = sign * ((0.5 * (a + b) - centroids[t]) * n).sum(axis=1)
+            assert (away[t >= 0] > 0).all()
+        # outward on the boundary: a step along n leaves the box
+        f = m.boundary_facets()
+        step = 0.5 * (a[f] + b[f]) + 1e-3 * n[f]
+        assert (np.abs(step - [0.75, 0.5]) > 0.25).any(axis=1).all()
+
     def test_interface_after_one_sided_refinement(self):
         m1 = body1_mesh()
         m2 = body2_mesh()
