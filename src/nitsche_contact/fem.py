@@ -2,9 +2,10 @@
 
 Scalar basis functions live on the reference triangle with vertices
 (0,0), (1,0), (0,1); vector degrees of freedom interleave the two
-components of each scalar node, ``dof = 2 * node + component``.  For
-quadratic elements the scalar nodes are the mesh vertices followed by
-one node per facet (edge midpoints).
+components of each scalar node, ``dof = 2 * node + component``
+(``FeSpace.cell_dofs`` per element).  For quadratic elements the scalar
+nodes are the mesh vertices followed by one node per facet (edge
+midpoints).  Local blocks enter a sparse matrix only through ``scatter``.
 
 Hooke's law is written once, in ``stress``, batched and applied to
 displacement gradients: those of the local unit dofs (``_unit_gradients``)
@@ -157,8 +158,7 @@ class FeSpace:
 
     ``cell_nodes[t]`` lists the scalar node ids of triangle ``t``
     (3 vertices for P1, plus the 3 opposite-facet midpoints for P2);
-    vector dofs are ``2 * node + comp``, and ``cell_dofs`` is the one
-    statement of that map over all elements.
+    vector dofs are ``2 * node + comp``.
     """
 
     mesh: Mesh
