@@ -24,6 +24,7 @@ from .contact import (
     ContactProblem,
     NitscheConfig,
     NonconvergenceError,
+    SolverError,
     solve,
 )
 from .estimator import EstimatorReport, report
@@ -256,7 +257,8 @@ def run_study(cfg: StudyConfig) -> StudyOutput:
     """Solve-estimate-refine until the dof budget is reached.
 
     Every recorded step comes from a converged contact solve; solver
-    nonconvergence propagates with the partial record list attached.
+    nonconvergence and a failed linear solve (``SolverError``) propagate
+    with the partial record list attached.
     The first solve starts from the fully active indicator; every later
     one starts from the previous step's converged contact indicator,
     transferred onto the refined interface (the ``start`` of ``solve``).
@@ -274,7 +276,7 @@ def run_study(cfg: StudyConfig) -> StudyOutput:
             break
         try:
             result = solve(solver_cfg, problem, start)
-        except NonconvergenceError as exc:
+        except (NonconvergenceError, SolverError) as exc:
             exc.records = records
             raise
         rep = report(result)
@@ -293,7 +295,10 @@ def run_study(cfg: StudyConfig) -> StudyOutput:
         ))
         last = (mesh1, mesh2, result, rep)
         start = (result.data.points, result.active)
-        if n >= cfg.max_dofs:
+        # a uniform step at least doubles the free dofs, so a uniform mesh
+        # with 2 n over the budget is the last one within it: stop before
+        # refining to a mesh that would only be counted and dropped
+        if n >= cfg.max_dofs or (cfg.mode == "uniform" and 2 * n > cfg.max_dofs):
             break
 
         if cfg.mode == "uniform":

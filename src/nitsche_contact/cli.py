@@ -34,6 +34,7 @@ from .contact import (
     VARIANTS,
     NitscheConfig,
     NonconvergenceError,
+    SolverError,
     energy_norm,
     lambda_profile,
     solve,
@@ -212,7 +213,7 @@ def cmd_solve(args) -> int:
     config = NitscheConfig(variant=args.variant, alpha=alpha)
     try:
         result = solve(config, problem)
-    except Exception as exc:
+    except (NonconvergenceError, SolverError) as exc:
         log = out / "iteration_log.txt"
         hist = getattr(exc, "history", [])
         log.write_text("\n".join(str(h) for h in hist) + "\n")
@@ -239,7 +240,7 @@ def cmd_study(args) -> int:
     )
     try:
         output = run_study(cfg)
-    except NonconvergenceError as exc:
+    except (NonconvergenceError, SolverError) as exc:
         print(f"error: {exc} after {len(exc.records)} recorded steps", file=sys.stderr)
         return 1
     slope = regression_slope(output.records)

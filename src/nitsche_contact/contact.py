@@ -30,18 +30,25 @@ samples by position along the interface.
 Quadrature uses ``degree + 1`` Gauss points per interface segment, which
 integrates every coupling term exactly and makes the multiplier samples
 an exact parametrisation of the segmentwise polynomial multiplier.
+
+Each solve fixes one CSC pattern, the constrained bulk matrix plus the
+interface blocks (``_union_pattern``); an iteration adds its blocks'
+values and factors the result once.  Below the inverse-inequality bound
+on alpha the Nitsche matrix is symmetric positive definite (Stenberg's
+reading of Nitsche's method as a stabilised method), so ``spsolve``
+factors it symmetrically without pivoting and reads the inertia from
+the pivots.
 """
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple, Optional
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import MatrixRankWarning, spsolve
+from scipy.sparse.linalg import splu
 
 from .fem import (
     FeSpace,
@@ -66,6 +73,7 @@ MASTER_SLAVE = "master-slave"
 JUNTUNEN = "juntunen"
 VARIANTS = (WEIGHTED, MASTER_SLAVE, JUNTUNEN)
 MAX_ITERATIONS = 30   # active-set iterations of one solve
+MMD_MAX_P2_DOFS = 150_000  # larger P2 systems are ordered by COLAMD (``_ordering``)
 
 
 class NonconvergenceError(RuntimeError):
@@ -77,7 +85,9 @@ class NonconvergenceError(RuntimeError):
 
 
 class SolverError(RuntimeError):
-    """The linear system could not be solved (typically missing constraints)."""
+    """The linear system could not be solved: it is singular (typically
+    missing constraints), or the Nitsche matrix is not positive definite
+    (alpha too large)."""
 
 
 @dataclass
@@ -380,11 +390,21 @@ def assemble_nitsche(data: InterfaceData, m: Mortar, config: NitscheConfig,
 
     ``m`` is the variant's ``Mortar`` record at the samples of ``data``,
     which ``solve`` builds once for all its iterations; ``config`` says
-    whether the inactive terms are dropped.  On the active samples the
-    form is ``penalty J J + M J + J M - gamma D D``; on the inactive ones
-    the stabilisation ``-sum c_k R_k R_k``, unless dropped.  The blocks
-    go through ``scatter``, so data renumbered onto the free dofs
-    assembles the constrained matrix directly.
+    whether the inactive terms are dropped.  The blocks
+    (``_nitsche_blocks``) go through ``scatter``, so data renumbered onto
+    the free dofs assembles the constrained matrix directly.
+    """
+    return scatter(_nitsche_blocks(data, m, config, active), data.dofs, ndofs)
+
+
+def _nitsche_blocks(data: InterfaceData, m: Mortar, config: NitscheConfig,
+                   active: np.ndarray) -> np.ndarray:
+    """Per-segment blocks of the interface form over ``data.dofs``.
+
+    On the active samples the form is ``penalty J J + M J + J M - gamma
+    D D``; on the inactive ones the stabilisation ``-sum c_k R_k R_k``,
+    unless ``config`` drops it.  ``assemble_nitsche`` scatters these
+    blocks into a matrix, ``solve`` onto its fixed pattern.
     """
     if active.shape != (data.num_samples,):
         raise ValueError(
@@ -404,8 +424,7 @@ def assemble_nitsche(data: InterfaceData, m: Mortar, config: NitscheConfig,
         for c, weights in m.stab:
             R = M if weights is m.traction else combine(weights, T1, T2)
             terms.append((-off * c, R, R))
-
-    return scatter(data.outer_sums(terms), data.dofs, ndofs)
+    return data.outer_sums(terms)
 
 
 @dataclass
@@ -435,14 +454,95 @@ class SolveResult:
         return self.data.rows_dot(rows, self.u)
 
 
-def _solve_reduced(Af, bf):
-    """Solve an already constrained system, refusing a singular one."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", MatrixRankWarning)
-        try:
-            uf = spsolve(Af.tocsc(), bf)
-        except MatrixRankWarning as exc:
-            raise SolverError(f"singular system: {exc}") from exc
+def _union_pattern(Af0: sp.csr_matrix, dofs: np.ndarray):
+    """The fixed CSC pattern of a solve: ``Af0`` plus blocks over ``dofs``.
+
+    ``dofs`` holds free-dof ids per segment, -1 for a fixed dof, as
+    ``scatter`` takes them.  Returns ``add(blocks)``, which gives the CSC
+    matrix ``Af0 + scatter(blocks, dofs, n)`` on the union of both
+    patterns: a copy of the bulk values plus one ``bincount`` of the
+    blocks, whose entries at fixed dofs land in a dropped extra slot.
+    """
+    n = Af0.shape[0]
+    nd = dofs.shape[1]
+    rows = np.repeat(dofs, nd, axis=1).ravel()
+    cols = np.tile(dofs, (1, nd)).ravel()
+    kept = (rows >= 0) & (cols >= 0)
+    bulk = Af0.tocsc()
+    # column-major keys, whose sorted order is the CSC order; the bulk's
+    # come sorted, so the stable sort mostly merges in the blocks' keys
+    col_start = np.arange(n, dtype=np.int64) * n
+    keys = np.concatenate([np.repeat(col_start, np.diff(bulk.indptr)) + bulk.indices,
+                           cols[kept] * n + rows[kept]])
+    order = np.argsort(keys, kind="stable")
+    ordered = keys[order]
+    first = np.r_[True, ordered[1:] != ordered[:-1]]
+    slot = np.empty(keys.size, dtype=np.int64)
+    slot[order] = np.cumsum(first) - 1
+    union = ordered[first]
+    nnz = union.size
+    indptr = np.searchsorted(union, np.append(col_start, n * n)).astype(np.int32)
+    indices = (union % n).astype(np.int32)
+    bulk_values = np.bincount(slot[:bulk.nnz], weights=bulk.data, minlength=nnz)
+    block_slot = np.full(rows.size, nnz)
+    block_slot[kept] = slot[bulk.nnz:]
+
+    def add(blocks: np.ndarray) -> sp.csc_matrix:
+        values = bulk_values + np.bincount(block_slot, weights=blocks.ravel(),
+                                           minlength=nnz + 1)[:-1]
+        return sp.csc_matrix((values, indices, indptr), shape=(n, n))
+
+    return add
+
+
+def _ordering(degree: int, n: int) -> str:
+    """SuperLU column ordering of an ``n``-unknown Nitsche matrix.
+
+    Minimum degree on ``A + A^T`` fills a third to a half as much as
+    COLAMD on these matrices and factors faster at every P1 size
+    measured.  On the graded P2 meshes of adaptive studies its lead
+    shrinks with size, from about 2.5x at 15k-130k unknowns to 1.1x at
+    165k, where one measurement saw it 15x slower; so P2 systems above
+    ``MMD_MAX_P2_DOFS`` unknowns take COLAMD.
+    """
+    return "MMD_AT_PLUS_A" if degree == 1 or n <= MMD_MAX_P2_DOFS else "COLAMD"
+
+
+def spsolve(A: sp.csc_matrix, b: np.ndarray, permc_spec: str, alpha: float) -> np.ndarray:
+    """Solve the symmetric positive definite Nitsche system ``A x = b``.
+
+    SuperLU factors ``A`` in symmetric mode without pivoting: every pivot
+    is the diagonal entry of its column, so the row and column
+    permutations agree and the diagonal of ``U`` holds the pivots of a
+    symmetric elimination, whose signs are the inertia of ``A``.  A
+    non-positive pivot (or an off-diagonal one, which SuperLU takes only
+    for a zero diagonal) proves that ``A`` is not positive definite:
+    alpha lies beyond the discrete inverse-inequality bound, or Dirichlet
+    constraints are missing.  That, a singular factor and every failed
+    check of ``_check_solution`` raise ``SolverError``.
+
+    The name is the one this linear solve has always had in this module:
+    the benchmark's tracer (``perfbench/tracer.py``) times the layer by
+    wrapping ``contact.spsolve`` and counts one factorisation per call.
+    """
+    try:
+        lu = splu(A, permc_spec=permc_spec, diag_pivot_thresh=0.0,
+                  options={"SymmetricMode": True})
+    except RuntimeError as exc:   # SuperLU reports an exactly singular factor
+        raise SolverError(f"singular system: {exc}") from exc
+    pivot = lu.U.diagonal().min(initial=np.inf)
+    if not (np.array_equal(lu.perm_r, lu.perm_c) and pivot > 0.0):
+        raise SolverError(
+            f"the Nitsche matrix is not positive definite (smallest pivot {pivot:.3g}):"
+            f" alpha = {alpha:g} is too large for the inverse inequality,"
+            " or Dirichlet constraints are missing"
+        )
+    return _check_solution(A, b, lu.solve(b))
+
+
+def _check_solution(Af, bf, uf):
+    """``uf`` from a solve of ``Af uf = bf``, refused when it is not finite,
+    blew up or leaves a large residual (a singular system)."""
     uf = np.atleast_1d(uf)
     if not np.all(np.isfinite(uf)):
         raise SolverError("linear solve produced non-finite values; "
@@ -510,12 +610,14 @@ def solve(config: NitscheConfig, problem: ContactProblem, start=None) -> SolveRe
     data = build_interface_data(problem)
     m = mortar(data, problem.materials, config)
     A0, b = bulk_system(problem)
-    # constrain once; each iteration assembles the interface term directly
-    # in free-dof numbering (fixed dofs map to -1 and are left out)
+    # constrain once and fix the pattern of bulk plus interface blocks in
+    # free-dof numbering (fixed dofs map to -1 and are left out); each
+    # iteration only adds its blocks' values
     Af0, bf, free = constrain(A0, b, problem.fixed_mask())
     local = np.full(problem.num_dofs, -1)
     local[free] = np.arange(free.size)
-    reduced = replace(data, dofs=local[data.dofs])
+    add_blocks = _union_pattern(Af0, local[data.dofs])
+    permc_spec = _ordering(problem.degree, free.size)
 
     if start is None:
         active = np.ones(data.num_samples, dtype=bool)
@@ -526,8 +628,8 @@ def solve(config: NitscheConfig, problem: ContactProblem, start=None) -> SolveRe
     u_prev = None
 
     for it in range(1, MAX_ITERATIONS + 1):
-        Af = Af0 + assemble_nitsche(reduced, m, config, active, free.size)
-        u = expand(_solve_reduced(Af, bf), free, problem.num_dofs)
+        Af = add_blocks(_nitsche_blocks(data, m, config, active))
+        u = expand(spsolve(Af, bf, permc_spec, config.alpha), free, problem.num_dofs)
         lh = lh_values(data, m, u)
         new_active = lh > 0.0
         unorm = float(np.linalg.norm(u))

@@ -21,18 +21,23 @@ pressure reconstruction coincide with the explicit mixed solution.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.linalg import MatrixRankWarning
+from scipy.sparse.linalg import spsolve as _lu_solve
 
 from .contact import (
     ContactProblem,
     InterfaceData,
     Mortar,
     NitscheConfig,
-    _solve_reduced,
+    SolverError,
+    _check_solution,
     build_interface_data,
     bulk_system,
     combine,
@@ -55,7 +60,8 @@ class MixedSystem:
     """Symmetric saddle system in (displacements, multiplier samples).
 
     ``matrix`` is the full stabilised operator; the multiplier block is
-    negative semidefinite.  ``mortar`` is the variant's record at the
+    negative semidefinite.  ``constrained`` eliminates the problem's
+    fixed dofs from it once, for every active pattern a solve tries.  ``mortar`` is the variant's record at the
     samples, built once per system; its ``c_q`` holds the per-sample
     weights that turn multiplier rows into the complementarity residual.
     """
@@ -74,6 +80,20 @@ class MixedSystem:
     @property
     def n_lam(self) -> int:
         return self.data.num_samples
+
+    @cached_property
+    def constrained(self):
+        """The system with the problem's fixed dofs eliminated, once per
+        system: ``(K (csr), rhs, free, row of each entry of K, position
+        in K.data of each multiplier's diagonal entry)``.  The multipliers
+        are the last ``n_lam`` free unknowns."""
+        fixed = np.concatenate([self.problem.fixed_mask(), np.zeros(self.n_lam, dtype=bool)])
+        K, r, free = constrain(self.matrix, self.rhs, fixed)
+        K.sort_indices()
+        entry_rows = np.repeat(np.arange(K.shape[0]), np.diff(K.indptr))
+        diag = np.flatnonzero((entry_rows == K.indices)
+                              & (entry_rows >= free.size - self.n_lam))
+        return K, r, free, entry_rows, diag
 
 
 def build_mixed_system(problem: ContactProblem, config: NitscheConfig) -> MixedSystem:
@@ -125,11 +145,26 @@ def _solve_pattern(system: MixedSystem, pattern: np.ndarray):
     """Solve with multiplier samples clamped to zero off the pattern.
 
     Active samples keep their saddle rows; inactive ones are eliminated
-    like homogeneous Dirichlet constraints.
+    like homogeneous Dirichlet constraints: their rows and columns of the
+    system constrained once (``MixedSystem.constrained``) are zeroed,
+    their diagonal set to 1 and their right-hand side (zero already) kept
+    at 0.  The saddle matrix is indefinite, so it is factored by scipy's
+    general LU with partial pivoting, never by the Nitsche solve's
+    symmetric factor.
     """
-    fixed = np.concatenate([system.problem.fixed_mask(), ~pattern])
-    Af, bf, free = constrain(system.matrix, system.rhs, fixed)
-    x = expand(_solve_reduced(Af, bf), free, fixed.size)
+    K, r, free, entry_rows, diag = system.constrained
+    keep = np.ones(K.shape[0])
+    keep[free.size - system.n_lam:] = pattern
+    values = K.data * keep[entry_rows] * keep[K.indices]
+    values[diag[~pattern]] = 1.0
+    Kp = sp.csr_matrix((values, K.indices, K.indptr), shape=K.shape)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", MatrixRankWarning)
+        try:
+            xf = _lu_solve(Kp, r)
+        except MatrixRankWarning as exc:
+            raise SolverError(f"singular system: {exc}") from exc
+    x = expand(_check_solution(Kp, r, xf), free, system.n_u + system.n_lam)
     return x[: system.n_u], x[system.n_u:]
 
 

@@ -8,14 +8,18 @@ from hypothesis import strategies as st
 import nitsche_contact.adapt as adapt
 from nitsche_contact.adapt import (
     ConvergenceRecord,
+    EXPERIMENTS,
     StudyConfig,
+    free_dof_count,
     initial_meshes,
     make_experiment,
+    make_problem,
     mark_dorfler,
     regression_slope,
     run_study,
 )
-from nitsche_contact.contact import NonconvergenceError, solve
+from nitsche_contact.contact import NonconvergenceError, SolverError, solve
+from nitsche_contact.mesh import uniform_refine
 
 
 class TestExperiments:
@@ -167,21 +171,53 @@ class TestRunStudy:
         assert all(b < a for a, b in zip(vals, vals[1:]))
 
     def test_nonconvergence_attaches_records(self, monkeypatch):
-        calls = {"n": 0}
+        # a failed linear solve carries the records as nonconvergence does
         real_solve = adapt.solve
+        for error in (NonconvergenceError("induced", history=[]), SolverError("induced")):
+            calls = {"n": 0}
 
-        def flaky(cfg, problem, start=None):
+            def flaky(cfg, problem, start=None, error=error):
+                calls["n"] += 1
+                if calls["n"] >= 2:
+                    raise error
+                return real_solve(cfg, problem, start)
+
+            monkeypatch.setattr(adapt, "solve", flaky)
+            with pytest.raises(type(error)) as err:
+                run_study(StudyConfig(experiment="pressing", degree=1,
+                                      mode="uniform", max_dofs=5000))
+            assert len(err.value.records) == 1
+            assert isinstance(err.value.records[0], ConvergenceRecord)
+
+    def test_uniform_study_refines_no_mesh_beyond_the_budget(self, monkeypatch):
+        calls = {"n": 0}
+        real_refine = adapt.bisect_refine
+
+        def counted(mesh, marked):
             calls["n"] += 1
-            if calls["n"] >= 2:
-                raise NonconvergenceError("induced", history=[])
-            return real_solve(cfg, problem, start)
+            return real_refine(mesh, marked)
 
-        monkeypatch.setattr(adapt, "solve", flaky)
-        with pytest.raises(NonconvergenceError) as err:
-            run_study(StudyConfig(experiment="pressing", degree=1,
-                                  mode="uniform", max_dofs=5000))
-        assert len(err.value.records) == 1
-        assert isinstance(err.value.records[0], ConvergenceRecord)
+        monkeypatch.setattr(adapt, "bisect_refine", counted)
+        out = run_study(StudyConfig(experiment="pressing", degree=1,
+                                    mode="uniform", max_dofs=800))
+        # two sweeps of both bodies between consecutive recorded steps
+        assert calls["n"] == 4 * (len(out.records) - 1)
+
+
+@settings(max_examples=25, deadline=None)
+@given(experiment=st.sampled_from(EXPERIMENTS), nx1=st.integers(1, 4), ny1=st.integers(1, 4),
+       nx2=st.integers(1, 4), ny2=st.sampled_from((4, 8)), degree=st.sampled_from((1, 2)))
+def test_uniform_step_at_least_doubles_the_free_dofs(experiment, nx1, ny1, nx2, ny2, degree):
+    """``run_study`` stops a uniform study before refining when twice the
+    free dofs exceed the budget; that rests on this doubling."""
+    setup = make_experiment(experiment)
+    mesh1, mesh2 = initial_meshes(setup, ((nx1, ny1), (nx2, ny2)))
+    n = free_dof_count(make_problem(setup, mesh1, mesh2, degree))
+    for _ in range(3):
+        mesh1, mesh2 = uniform_refine(mesh1, 2), uniform_refine(mesh2, 2)
+        refined = free_dof_count(make_problem(setup, mesh1, mesh2, degree))
+        assert refined >= 2 * n
+        n = refined
 
 
 class TestDeskScaleProperties:

@@ -17,6 +17,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import nitsche_contact.contact as contact
 from nitsche_contact.adapt import initial_meshes, make_experiment, make_problem
 from nitsche_contact.contact import (
     MASTER_SLAVE,
@@ -195,6 +196,13 @@ def test_batched_kernels_match_sample_loops(case, draw):
     reduced = assemble_nitsche(replace(data, dofs=local[data.dofs]), m, config, active,
                                free.size)
     assert close(reduced, Nf)
+
+    # the solve's fixed pattern adds the same blocks onto the bulk matrix
+    Af0, _, _ = constrain(bulk_system(problem)[0], np.zeros(n), fixed)
+    add_blocks = contact._union_pattern(Af0, local[data.dofs])
+    fixed_pattern = add_blocks(contact._nitsche_blocks(data, m, config, active))
+    assert fixed_pattern.format == "csc" and fixed_pattern.has_canonical_format
+    assert close(fixed_pattern, Af0 + reduced)
 
     system = build_mixed_system(problem, config)
     M, rhs, c = reference_mixed(problem, config)

@@ -83,6 +83,13 @@ class TestStudyCommand:
         assert "entered a cycle" in err and "3 recorded steps" in err
         assert not (tmp_path / "convergence.csv").exists()
 
+    def test_solver_error_is_an_error_exit(self, tmp_path, capsys):
+        # P2 beyond the inverse-inequality bound: a negative pivot
+        assert main(["study", "--degree", "2", "--alpha", "0.03", "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "alpha = 0.03" in err
+        assert "Traceback" not in err
+
     def test_reexport_bit_exact(self, tmp_path):
         recs = [ConvergenceRecord(step=0, ndofs=48, eta=0.0922056381819,
                                   S=1.234e-9, eta_plus_S=0.09220564, eta_element=0,

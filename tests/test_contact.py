@@ -2,6 +2,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -231,6 +232,38 @@ class TestSolve:
                                pins=())
         with pytest.raises(SolverError):
             solve(NitscheConfig(alpha=1e-2), loose)
+
+    @pytest.mark.parametrize("degree, too_large, fine", [(2, 0.03, 0.01), (1, 0.3, 0.03)])
+    def test_indefinite_matrix_raises_naming_alpha(self, degree, too_large, fine):
+        # on this mesh alpha = too_large gives a negative pivot
+        _, prob = small_problem("bending", degree=degree, sweeps=1)
+        with pytest.raises(SolverError, match=f"alpha = {too_large:g} is too large"):
+            solve(NitscheConfig(alpha=too_large), prob)
+        assert solve(NitscheConfig(alpha=fine), prob).lam.min() >= 0.0
+
+    @pytest.mark.parametrize("degree, mmd_max_p2_dofs, ordering", [
+        (1, 0, "MMD_AT_PLUS_A"),
+        (2, contact.MMD_MAX_P2_DOFS, "MMD_AT_PLUS_A"),
+        (2, 0, "COLAMD"),
+    ])
+    def test_orderings_agree_with_general_lu(self, monkeypatch, degree, mmd_max_p2_dofs,
+                                             ordering):
+        calls = []
+
+        def recorded(A, b, permc_spec, alpha, _factor=contact.spsolve):
+            x = _factor(A, b, permc_spec, alpha)
+            calls.append((A, b, permc_spec, x))
+            return x
+
+        monkeypatch.setattr(contact, "MMD_MAX_P2_DOFS", mmd_max_p2_dofs)
+        monkeypatch.setattr(contact, "spsolve", recorded)
+        _, prob = small_problem("bending", degree=degree, sweeps=2)
+        solve(NitscheConfig(alpha=1e-3), prob)
+        assert calls
+        for A, b, permc_spec, x in calls:
+            assert permc_spec == ordering
+            ref = scipy.sparse.linalg.spsolve(A, b)
+            assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
 
     def test_drop_toggle_changes_solution_slightly(self):
         _, prob = small_problem("bending", degree=1, sweeps=1)
