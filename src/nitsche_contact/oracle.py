@@ -61,9 +61,10 @@ class MixedSystem:
 
     ``matrix`` is the full stabilised operator; the multiplier block is
     negative semidefinite.  ``constrained`` eliminates the problem's
-    fixed dofs from it once, for every active pattern a solve tries.  ``mortar`` is the variant's record at the
-    samples, built once per system; its ``c_q`` holds the per-sample
-    weights that turn multiplier rows into the complementarity residual.
+    fixed dofs from it once, for every active pattern a solve tries.
+    ``mortar`` is the variant's record at the samples, built once per
+    system; its ``c_q`` holds the per-sample weights that turn
+    multiplier rows into the complementarity residual.
     """
 
     problem: ContactProblem
