@@ -214,10 +214,13 @@ def cmd_solve(args) -> int:
     try:
         result = solve(config, problem)
     except (NonconvergenceError, SolverError) as exc:
-        log = out / "iteration_log.txt"
-        hist = getattr(exc, "history", [])
-        log.write_text("\n".join(str(h) for h in hist) + "\n")
-        print(f"error: {exc} (iteration log: {log})", file=sys.stderr)
+        hist = getattr(exc, "history", None)   # a SolverError carries none
+        where = ""
+        if hist:
+            log = out / "iteration_log.txt"
+            log.write_text("\n".join(str(h) for h in hist) + "\n")
+            where = f" (iteration log: {log})"
+        print(f"error: {exc}{where}", file=sys.stderr)
         return 1
     rep = report(result)
     write_vtk(result, out / "solution.vtk")

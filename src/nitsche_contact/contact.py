@@ -31,10 +31,11 @@ Quadrature uses ``degree + 1`` Gauss points per interface segment, which
 integrates every coupling term exactly and makes the multiplier samples
 an exact parametrisation of the segmentwise polynomial multiplier.
 
-Each solve fixes one CSC pattern, the constrained bulk matrix plus the
-interface blocks (``_union_pattern``); an iteration adds its blocks'
-values and factors the result once.  Below the inverse-inequality bound
-on alpha the Nitsche matrix is symmetric positive definite (Stenberg's
+Each solve fixes one CSC pattern over the free dofs, the bulk matrix
+plus the interface blocks (``fem.fixed_pattern``, which also owns the
+elimination of the Dirichlet dofs); an iteration adds its blocks' values
+and factors the result once.  Below the inverse-inequality bound on
+alpha the Nitsche matrix is symmetric positive definite (Stenberg's
 reading of Nitsche's method as a stabilised method), so ``spsolve``
 factors it symmetrically without pivoting and reads the inertia from
 the pivots.
@@ -56,10 +57,10 @@ from .fem import (
     assemble_boundary_load,
     assemble_bulk,
     assemble_load,
-    constrain,
     dirichlet_mask,
     elastic_moduli_rows,
     expand,
+    fixed_pattern,
     gauss1d,
     pin_dof,
     scatter,
@@ -390,8 +391,7 @@ def assemble_nitsche(data: InterfaceData, m: Mortar, config: NitscheConfig,
     ``m`` is the variant's ``Mortar`` record at the samples of ``data``,
     which ``solve`` builds once for all its iterations; ``config`` says
     whether the inactive terms are dropped.  The blocks
-    (``_nitsche_blocks``) go through ``scatter``, so data renumbered onto
-    the free dofs assembles the constrained matrix directly.
+    (``_nitsche_blocks``) go through ``scatter``.
     """
     return scatter(_nitsche_blocks(data, m, config, active), data.dofs, ndofs)
 
@@ -403,7 +403,7 @@ def _nitsche_blocks(data: InterfaceData, m: Mortar, config: NitscheConfig,
     On the active samples the form is ``penalty J J + M J + J M - gamma
     D D``; on the inactive ones the stabilisation ``-sum c_k R_k R_k``,
     unless ``config`` drops it.  ``assemble_nitsche`` scatters these
-    blocks into a matrix, ``solve`` onto its fixed pattern.
+    blocks into a matrix, ``solve`` adds them onto its fixed pattern.
     """
     if active.shape != (data.num_samples,):
         raise ValueError(
@@ -451,47 +451,6 @@ class SolveResult:
     def traction_samples(self, body: int) -> np.ndarray:
         rows = self.data.t1 if body == 1 else self.data.t2
         return self.data.rows_dot(rows, self.u)
-
-
-def _union_pattern(Af0: sp.csr_matrix, dofs: np.ndarray):
-    """The fixed CSC pattern of a solve: ``Af0`` plus blocks over ``dofs``.
-
-    ``dofs`` holds free-dof ids per segment, -1 for a fixed dof, as
-    ``scatter`` takes them.  Returns ``add(blocks)``, which gives the CSC
-    matrix ``Af0 + scatter(blocks, dofs, n)`` on the union of both
-    patterns: a copy of the bulk values plus one ``bincount`` of the
-    blocks, whose entries at fixed dofs land in a dropped extra slot.
-    """
-    n = Af0.shape[0]
-    nd = dofs.shape[1]
-    rows = np.repeat(dofs, nd, axis=1).ravel()
-    cols = np.tile(dofs, (1, nd)).ravel()
-    kept = (rows >= 0) & (cols >= 0)
-    bulk = Af0.tocsc()
-    # column-major keys, whose sorted order is the CSC order; the bulk's
-    # come sorted, so the stable sort mostly merges in the blocks' keys
-    col_start = np.arange(n, dtype=np.int64) * n
-    keys = np.concatenate([np.repeat(col_start, np.diff(bulk.indptr)) + bulk.indices,
-                           cols[kept] * n + rows[kept]])
-    order = np.argsort(keys, kind="stable")
-    ordered = keys[order]
-    first = np.r_[True, ordered[1:] != ordered[:-1]]
-    slot = np.empty(keys.size, dtype=np.int64)
-    slot[order] = np.cumsum(first) - 1
-    union = ordered[first]
-    nnz = union.size
-    indptr = np.searchsorted(union, np.append(col_start, n * n)).astype(np.int32)
-    indices = (union % n).astype(np.int32)
-    bulk_values = np.bincount(slot[:bulk.nnz], weights=bulk.data, minlength=nnz)
-    block_slot = np.full(rows.size, nnz)
-    block_slot[kept] = slot[bulk.nnz:]
-
-    def add(blocks: np.ndarray) -> sp.csc_matrix:
-        values = bulk_values + np.bincount(block_slot, weights=blocks.ravel(),
-                                           minlength=nnz + 1)[:-1]
-        return sp.csc_matrix((values, indices, indptr), shape=(n, n))
-
-    return add
 
 
 def spsolve(A: sp.csc_matrix, b: np.ndarray, alpha: float) -> np.ndarray:
@@ -599,13 +558,10 @@ def solve(config: NitscheConfig, problem: ContactProblem, start=None) -> SolveRe
     data = build_interface_data(problem)
     m = mortar(data, problem.materials, config)
     A0, b = bulk_system(problem)
-    # constrain once and fix the pattern of bulk plus interface blocks in
-    # free-dof numbering (fixed dofs map to -1 and are left out); each
+    # fix the free-dof pattern of bulk plus interface blocks once; each
     # iteration only adds its blocks' values
-    Af0, bf, free = constrain(A0, b, problem.fixed_mask())
-    local = np.full(problem.num_dofs, -1)
-    local[free] = np.arange(free.size)
-    add_blocks = _union_pattern(Af0, local[data.dofs])
+    add_blocks, free = fixed_pattern(A0, data.dofs, problem.fixed_mask())
+    bf = b[free]
 
     if start is None:
         active = np.ones(data.num_samples, dtype=bool)

@@ -5,7 +5,10 @@ Scalar basis functions live on the reference triangle with vertices
 components of each scalar node, ``dof = 2 * node + component``
 (``FeSpace.cell_dofs`` per element).  For quadratic elements the scalar
 nodes are the mesh vertices followed by one node per facet (edge
-midpoints).  Local blocks enter a sparse matrix only through ``scatter``.
+midpoints).  Local blocks enter a sparse matrix only through ``scatter``,
+or through ``fixed_pattern``, the one owner of the constrained system:
+it drops the Dirichlet dofs and fixes the pattern that both the Nitsche
+solve and the mixed oracle factor.
 
 Hooke's law is written once, in ``stress``, batched and applied to
 displacement gradients: those of the local unit dofs (``_unit_gradients``)
@@ -211,7 +214,7 @@ class FeSpace:
         p = self.mesh.vertices
         t = self.mesh.triangles
         A = np.stack([p[t[:, 1]] - p[t[:, 0]], p[t[:, 2]] - p[t[:, 0]]], axis=-1)
-        det = A[:, 0, 0] * A[:, 1, 1] - A[:, 0, 1] * A[:, 1, 0]
+        det = 2.0 * self.mesh.signed_areas()
         invA = np.empty_like(A)
         invA[:, 0, 0] = A[:, 1, 1] / det
         invA[:, 0, 1] = -A[:, 0, 1] / det
@@ -329,18 +332,11 @@ def assemble_bulk(space: FeSpace, mat: MaterialParams, quad_degree: Optional[int
 
 def scatter(blocks: np.ndarray, dofs: np.ndarray, n: int) -> sp.csr_matrix:
     """Sum local blocks (nb, nd, nd) into an (n, n) matrix, block ``k``
-    at the rows and columns ``dofs[k]`` (nb, nd).  Entries whose dof id
-    is negative are left out, so blocks over dofs renumbered onto the
-    free dofs (fixed dofs mapped to -1) assemble the constrained matrix
-    directly."""
+    at the rows and columns ``dofs[k]`` (nb, nd)."""
     nd = dofs.shape[1]
     rows = np.repeat(dofs, nd, axis=1)
     cols = np.tile(dofs, (1, nd))
-    vals = blocks.reshape(rows.shape)
-    if dofs.min(initial=0) < 0:
-        keep = (rows >= 0) & (cols >= 0)
-        rows, cols, vals = rows[keep], cols[keep], vals[keep]
-    return sp.coo_matrix((vals.ravel(), (rows.ravel(), cols.ravel())), shape=(n, n)).tocsr()
+    return sp.coo_matrix((blocks.ravel(), (rows.ravel(), cols.ravel())), shape=(n, n)).tocsr()
 
 
 def assemble_load(space: FeSpace, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
@@ -434,12 +430,51 @@ def pin_dof(space: FeSpace, point, comp: int) -> int:
     return 2 * i + comp
 
 
-def constrain(A: sp.spmatrix, b: np.ndarray, fixed: np.ndarray):
-    """Eliminate constrained dofs (homogeneous data): returns the reduced
-    symmetric system and the index map of the free dofs."""
+def fixed_pattern(A: sp.spmatrix, dofs: np.ndarray, fixed: np.ndarray):
+    """The constrained system on one fixed CSC pattern: ``A`` plus local
+    blocks over ``dofs`` (nb, nd), with every entry in a row or column of
+    a ``fixed`` dof dropped (homogeneous data) and the free dofs numbered
+    in order.
+
+    Returns ``(add, free)``: ``free`` lists the free dofs, and
+    ``add(blocks)`` gives the CSC matrix of ``A + scatter(blocks, dofs, n)``
+    over them, on the union of both patterns.  The pattern is fixed once,
+    by a sort of column-major keys; ``add`` copies ``A``'s values and adds
+    the blocks' with one ``bincount``.
+    """
+    n = A.shape[0]
     free = np.flatnonzero(~fixed)
-    A = A.tocsr()
-    return A[free][:, free], b[free], free
+    nf = free.size
+    local = np.full(n, nf)          # fixed dofs map past the last free one
+    local[free] = np.arange(nf)
+    A = A.tocsc()
+    nd = dofs.shape[1]
+    rows = local[np.concatenate([A.indices, np.repeat(dofs, nd, axis=1).ravel()])]
+    cols = local[np.concatenate([np.repeat(np.arange(n), np.diff(A.indptr)),
+                                 np.tile(dofs, (1, nd)).ravel()])]
+    kept = (rows < nf) & (cols < nf)
+    # column-major keys, whose sorted order is the CSC order; A's come
+    # sorted, so the stable sort mostly merges in the blocks' keys
+    keys = cols[kept] * nf + rows[kept]
+    del rows, cols   # the largest temporaries; freed before the sort they would outlive
+    order = np.argsort(keys, kind="stable")
+    ordered = keys[order]
+    first = np.diff(ordered, prepend=-1) != 0
+    union = ordered[first]
+    nnz = union.size
+    slot = np.full(kept.size, nnz)  # entries at fixed dofs land in an extra slot
+    slot[np.flatnonzero(kept)[order]] = np.cumsum(first) - 1
+    indptr = np.searchsorted(union, np.arange(nf + 1, dtype=np.int64) * nf).astype(np.int32)
+    indices = (union % nf).astype(np.int32)
+    a_values = np.bincount(slot[:A.nnz], weights=A.data, minlength=nnz + 1)[:-1]
+    block_slot = slot[A.nnz:].copy()   # a view would keep all of ``slot`` alive
+
+    def add(blocks: np.ndarray) -> sp.csc_matrix:
+        values = a_values + np.bincount(block_slot, weights=blocks.ravel(),
+                                        minlength=nnz + 1)[:-1]
+        return sp.csc_matrix((values, indices, indptr), shape=(nf, nf))
+
+    return add, free
 
 
 def expand(u_free: np.ndarray, free: np.ndarray, n: int) -> np.ndarray:

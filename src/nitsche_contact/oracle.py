@@ -21,15 +21,13 @@ pressure reconstruction coincide with the explicit mixed solution.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import MatrixRankWarning
-from scipy.sparse.linalg import spsolve as _lu_solve
+from scipy.sparse.linalg import splu
 
 from .contact import (
     ContactProblem,
@@ -44,7 +42,7 @@ from .contact import (
     lh_values,
     mortar,
 )
-from .fem import constrain, expand, scatter
+from .fem import expand, fixed_pattern, scatter
 
 ENUMERATION_SAMPLE_CAP = 12
 TOL = 1e-9            # complementarity tolerance of an accepted solution
@@ -85,16 +83,16 @@ class MixedSystem:
     @cached_property
     def constrained(self):
         """The system with the problem's fixed dofs eliminated, once per
-        system: ``(K (csr), rhs, free, row of each entry of K, position
+        system: ``(K (csc), rhs, free, column of each entry of K, position
         in K.data of each multiplier's diagonal entry)``.  The multipliers
         are the last ``n_lam`` free unknowns."""
         fixed = np.concatenate([self.problem.fixed_mask(), np.zeros(self.n_lam, dtype=bool)])
-        K, r, free = constrain(self.matrix, self.rhs, fixed)
-        K.sort_indices()
-        entry_rows = np.repeat(np.arange(K.shape[0]), np.diff(K.indptr))
-        diag = np.flatnonzero((entry_rows == K.indices)
-                              & (entry_rows >= free.size - self.n_lam))
-        return K, r, free, entry_rows, diag
+        add, free = fixed_pattern(self.matrix, np.empty((0, 0), dtype=int), fixed)
+        K = add(np.empty(0))
+        entry_cols = np.repeat(np.arange(K.shape[1]), np.diff(K.indptr))
+        diag = np.flatnonzero((entry_cols == K.indices)
+                              & (entry_cols >= free.size - self.n_lam))
+        return K, self.rhs[free], free, entry_cols, diag
 
 
 def build_mixed_system(problem: ContactProblem, config: NitscheConfig) -> MixedSystem:
@@ -142,6 +140,17 @@ class MixedResult:
     iterations: int
 
 
+def _lu_solve(K: sp.csc_matrix, r: np.ndarray) -> np.ndarray:
+    """Solve ``K x = r`` by SuperLU's general LU, with ``spsolve``'s
+    defaults: COLAMD ordering and partial pivoting.  An exactly singular
+    factor raises ``SolverError``."""
+    try:
+        lu = splu(K)
+    except RuntimeError as exc:   # SuperLU reports an exactly singular factor
+        raise SolverError(f"singular system: {exc}") from exc
+    return lu.solve(r)
+
+
 def _solve_pattern(system: MixedSystem, pattern: np.ndarray):
     """Solve with multiplier samples clamped to zero off the pattern.
 
@@ -149,23 +158,16 @@ def _solve_pattern(system: MixedSystem, pattern: np.ndarray):
     like homogeneous Dirichlet constraints: their rows and columns of the
     system constrained once (``MixedSystem.constrained``) are zeroed,
     their diagonal set to 1 and their right-hand side (zero already) kept
-    at 0.  The saddle matrix is indefinite, so it is factored by scipy's
-    general LU with partial pivoting, never by the Nitsche solve's
-    symmetric factor.
+    at 0.  The saddle matrix is indefinite, so it is factored by
+    ``_lu_solve``, never by the Nitsche solve's symmetric factor.
     """
-    K, r, free, entry_rows, diag = system.constrained
+    K, r, free, entry_cols, diag = system.constrained
     keep = np.ones(K.shape[0])
     keep[free.size - system.n_lam:] = pattern
-    values = K.data * keep[entry_rows] * keep[K.indices]
+    values = K.data * keep[entry_cols] * keep[K.indices]
     values[diag[~pattern]] = 1.0
-    Kp = sp.csr_matrix((values, K.indices, K.indptr), shape=K.shape)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", MatrixRankWarning)
-        try:
-            xf = _lu_solve(Kp, r)
-        except MatrixRankWarning as exc:
-            raise SolverError(f"singular system: {exc}") from exc
-    x = expand(_check_solution(Kp, r, xf), free, system.n_u + system.n_lam)
+    Kp = sp.csc_matrix((values, K.indices, K.indptr), shape=K.shape)
+    x = expand(_check_solution(Kp, r, _lu_solve(Kp, r)), free, system.n_u + system.n_lam)
     return x[: system.n_u], x[system.n_u:]
 
 
@@ -209,7 +211,7 @@ def solve_mixed(problem: ContactProblem, config: NitscheConfig, method: str) -> 
             tried += 1
             try:
                 u, lam = _solve_pattern(system, pattern)
-            except Exception:
+            except SolverError:
                 continue
             lh = lh_values(system.data, system.mortar, u)
             ok = np.all(lam[pattern] >= -TOL) and np.all(lh[~pattern] <= TOL)

@@ -33,8 +33,8 @@ from nitsche_contact.contact import (
 )
 from nitsche_contact.estimator import contact_facet_estimator, vertex_stresses
 from nitsche_contact.fem import (
-    constrain,
     elastic_moduli_rows,
+    fixed_pattern,
     gauss1d,
     shape_gradients,
     shape_values,
@@ -188,21 +188,14 @@ def test_batched_kernels_match_sample_loops(case, draw):
     assert N.shape == (n, n)
     assert close(N, reference_nitsche(data, problem.materials, config, active, n))
 
-    # renumbered onto the free dofs it assembles the constrained matrix
-    fixed = problem.fixed_mask()
-    Nf, _, free = constrain(N, np.zeros(n), fixed)
-    local = np.full(n, -1)
-    local[free] = np.arange(free.size)
-    reduced = assemble_nitsche(replace(data, dofs=local[data.dofs]), m, config, active,
-                               free.size)
-    assert close(reduced, Nf)
-
-    # the solve's fixed pattern adds the same blocks onto the bulk matrix
-    Af0, _, _ = constrain(bulk_system(problem)[0], np.zeros(n), fixed)
-    add_blocks = contact._union_pattern(Af0, local[data.dofs])
-    fixed_pattern = add_blocks(contact._nitsche_blocks(data, m, config, active))
-    assert fixed_pattern.format == "csc" and fixed_pattern.has_canonical_format
-    assert close(fixed_pattern, Af0 + reduced)
+    # the solve's fixed pattern adds the same blocks onto the bulk matrix,
+    # over the free dofs
+    A0 = bulk_system(problem)[0]
+    add_blocks, free = fixed_pattern(A0, data.dofs, problem.fixed_mask())
+    assert np.array_equal(free, np.flatnonzero(~problem.fixed_mask()))
+    constrained = add_blocks(contact._nitsche_blocks(data, m, config, active))
+    assert constrained.format == "csc" and constrained.has_canonical_format
+    assert close(constrained, (A0 + N)[free][:, free])
 
     system = build_mixed_system(problem, config)
     M, rhs, c = reference_mixed(problem, config)

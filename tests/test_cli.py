@@ -49,6 +49,26 @@ class TestSolveCommand:
         assert lam.min() >= 0.0
         assert lam.max() > 0.0
 
+    def test_solver_error_writes_no_log(self, tmp_path, capsys):
+        # P2 beyond the inverse-inequality bound: a SolverError, no iterations
+        assert main(["solve", "--degree", "2", "--alpha", "0.03", "--refine", "1",
+                     "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "iteration log" not in err
+        assert not (tmp_path / "iteration_log.txt").exists()
+
+    def test_nonconvergence_writes_its_history(self, tmp_path, capsys, monkeypatch):
+        history = [{"iteration": 1, "n_active": 4}, {"iteration": 2, "n_active": 3}]
+
+        def cycling(config, problem):
+            raise NonconvergenceError("active-set iteration entered a cycle", history)
+
+        monkeypatch.setattr(cli, "solve", cycling)
+        assert main(["solve", "--degree", "1", "--refine", "0", "--out", str(tmp_path)]) == 1
+        log = tmp_path / "iteration_log.txt"
+        assert f"iteration log: {log}" in capsys.readouterr().err
+        assert log.read_text().splitlines() == [str(h) for h in history]
+
 
 class TestStudyCommand:
     def test_csv_roundtrip_and_slope_line(self, tmp_path):

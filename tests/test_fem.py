@@ -10,10 +10,10 @@ from nitsche_contact.fem import (
     assemble_boundary_load,
     assemble_bulk,
     assemble_load,
-    constrain,
     dirichlet_mask,
     elastic_moduli_rows,
     expand,
+    fixed_pattern,
     gauss1d,
     interpolate,
     scatter,
@@ -266,16 +266,12 @@ class TestBulk:
 
 
 class TestScatter:
-    @pytest.mark.parametrize("dofs", [[[0, 2, 1], [2, 4, 3], [1, 3, 0]],
-                                      [[0, 2, 1], [2, -1, 3], [-1, 3, 0]]])
-    def test_sums_the_blocks_and_leaves_out_negative_ids(self, dofs):
-        dofs = np.array(dofs)
+    def test_sums_the_blocks(self):
+        dofs = np.array([[0, 2, 1], [2, 4, 3], [1, 3, 0]])
         blocks = np.random.default_rng(0).standard_normal((3, 3, 3))
         expect = np.zeros((5, 5))
         for block, d in zip(blocks, dofs):
-            for i, j in np.ndindex(block.shape):
-                if d[i] >= 0 and d[j] >= 0:
-                    expect[d[i], d[j]] += block[i, j]
+            expect[np.ix_(d, d)] += block
         K = scatter(blocks, dofs, 5)
         assert K.format == "csr"
         assert np.allclose(K.toarray(), expect, rtol=1e-15, atol=0.0)
@@ -345,10 +341,11 @@ class TestDirichlet:
     def test_all_fixed_solution_zero(self):
         space = FeSpace.build(body1_mesh(), 1)
         K = assemble_bulk(space, STEEL_LIKE)
-        b = assemble_load(space, lambda x: np.column_stack([np.ones(len(x)), np.ones(len(x))]))
         fixed = np.ones(space.num_dofs, dtype=bool)
-        Kf, bf, free = constrain(K, b, fixed)
-        assert Kf.shape == (0, 0)
+        add, free = fixed_pattern(K, space.cell_dofs[:1], fixed)
+        assert free.size == 0
+        Kf = add(np.ones((1, space.cell_dofs.shape[1] ** 2)))
+        assert Kf.shape == (0, 0) and Kf.nnz == 0
         u = expand(np.zeros(0), free, space.num_dofs)
         assert np.allclose(u, 0.0)
 
@@ -366,7 +363,11 @@ class TestDirichlet:
         space = FeSpace.build(body1_mesh(2, 2), 2)
         K = assemble_bulk(space, STEEL_LIKE)
         fixed = dirichlet_mask(space)
-        Kf, _, _ = constrain(K, np.zeros(space.num_dofs), fixed)
+        add, free = fixed_pattern(K, space.cell_dofs, fixed)
+        assert np.array_equal(free, np.flatnonzero(~fixed))
+        blocks = np.random.default_rng(0).standard_normal((len(space.cell_dofs), 12, 12))
+        Kf = add(blocks + blocks.swapaxes(1, 2))
+        assert Kf.shape == (free.size, free.size)
         assert abs(Kf - Kf.T).max() < 1e-14
 
     @pytest.mark.parametrize("experiment", ["pressing", "bending", "patch"])

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+import nitsche_contact.oracle as oracle
 from nitsche_contact.adapt import initial_meshes, make_experiment, make_problem
 from nitsche_contact.contact import (
     ContactProblem,
     NitscheConfig,
+    SolverError,
     energy_norm,
     lh_values,
     mortar,
@@ -54,6 +56,26 @@ class TestMixedSolve:
         assert system_size > ENUMERATION_SAMPLE_CAP  # sanity of the setup
         with pytest.raises(ValueError):
             solve_mixed(prob, NitscheConfig(alpha=1e-3), method="enumerate")
+
+    def test_missing_constraints_raise(self):
+        # vertical load with horizontal-only clamps and no pin: the free
+        # vertical rigid mode makes the saddle system singular
+        _, prob = tiny_problem(res=((2, 2), (3, 4)))
+        vertical = lambda x: np.column_stack([np.zeros(len(x)), -0.05 * np.ones(len(x))])
+        loose = ContactProblem(spaces=prob.spaces, materials=prob.materials,
+                               segments=prob.segments, body_loads=(vertical, None),
+                               pins=())
+        with pytest.raises(SolverError):
+            solve_mixed(loose, NitscheConfig(alpha=1e-2), method="pdas")
+
+    def test_enumeration_skips_only_solver_errors(self, monkeypatch):
+        def broken(K, r):
+            raise ValueError("injected")
+
+        monkeypatch.setattr(oracle, "_lu_solve", broken)
+        _, prob = tiny_problem()
+        with pytest.raises(ValueError, match="injected"):
+            solve_mixed(prob, NitscheConfig(alpha=1e-2), method="enumerate")
 
     def test_matrix_symmetric_and_multiplier_block_negative(self):
         _, prob = tiny_problem(degree=2)
