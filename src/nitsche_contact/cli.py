@@ -11,6 +11,7 @@ plot with the regression line.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -297,7 +298,7 @@ def _verify_oracle(seed: int):
     def load(x, a=a, b=b):
         return np.column_stack([a + b * (x[:, 1] - 0.5), 0.2 * a * np.ones(len(x))])
 
-    setup = setup.__class__(**{**setup.__dict__, "load1": load})
+    setup = dataclasses.replace(setup, load1=load)
     degree = int(rng.choice([1, 2]))
     variant = VARIANTS[int(rng.randint(0, 3))]
     problem = make_problem(setup, mesh1, mesh2, degree)

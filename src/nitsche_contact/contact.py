@@ -242,13 +242,14 @@ class InterfaceData:
 
     def outer_sums(self, terms) -> np.ndarray:
         """Per-segment sums over the samples of ``c * left^T right`` for
-        ``(c (ns,), left (ns, npatch), right (ns, npatch))`` terms, as
-        (nseg, npatch * npatch) blocks over the segment's patch dofs."""
-        nseg, npatch = self.dofs.shape
-        shape = (nseg, self.n_per_seg * len(terms), npatch)
+        ``(c (ns,), left (ns, nd), right (ns, nd))`` terms, as
+        (nseg, nd * nd) blocks; rows over the patch dofs (``nd = npatch``)
+        give blocks over ``dofs``."""
+        nseg, nd = len(self.dofs), terms[0][1].shape[1]
+        shape = (nseg, self.n_per_seg * len(terms), nd)
         left = np.concatenate([c[:, None] * a for c, a, _ in terms], axis=1).reshape(shape)
         right = np.concatenate([b for _, _, b in terms], axis=1).reshape(shape)
-        return (left.transpose(0, 2, 1) @ right).reshape(nseg, npatch * npatch)
+        return (left.transpose(0, 2, 1) @ right).reshape(nseg, nd * nd)
 
 
 def build_interface_data(problem: ContactProblem) -> InterfaceData:

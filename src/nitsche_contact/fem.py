@@ -8,7 +8,8 @@ nodes are the mesh vertices followed by one node per facet (edge
 midpoints).  Local blocks enter a sparse matrix only through ``scatter``,
 or through ``fixed_pattern``, the one owner of the constrained system:
 it drops the Dirichlet dofs and fixes the pattern that both the Nitsche
-solve and the mixed oracle factor.
+solve and the mixed oracle factor; the oracle's blocks also cover the
+multipliers, numbered after the displacement dofs of the bulk matrix.
 
 Hooke's law is written once, in ``stress``, batched and applied to
 displacement gradients: those of the local unit dofs (``_unit_gradients``)
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
@@ -313,12 +314,12 @@ def elastic_moduli_rows(grads: np.ndarray, n: np.ndarray, mat: MaterialParams):
 # assembly
 # ---------------------------------------------------------------------------
 
-def assemble_bulk(space: FeSpace, mat: MaterialParams, quad_degree: Optional[int] = None) -> sp.csr_matrix:
+def assemble_bulk(space: FeSpace, mat: MaterialParams) -> sp.csr_matrix:
     """Stiffness matrix of the elasticity form over one body: the local
-    matrix is sum_q w_q det sigma(G_i) : G_j over the unit-dof gradients G.
-    The default rule is exact on affine elements, degree 2 (p - 1)."""
+    matrix is sum_q w_q det sigma(G_i) : G_j over the unit-dof gradients G,
+    with the rule of degree 2 (p - 1), exact on affine elements."""
     p = space.degree
-    pts, w = triangle_rule(2 * (p - 1) if quad_degree is None else quad_degree)
+    pts, w = triangle_rule(2 * (p - 1))
     _, invA, det = space.geometry()
     G = _unit_gradients(shape_gradients(p, pts) @ invA[:, None])     # (nt, nq, 2 nl, 2, 2)
     S = stress(mat, G) * (w * det[:, None])[..., None, None, None]
@@ -434,7 +435,8 @@ def fixed_pattern(A: sp.spmatrix, dofs: np.ndarray, fixed: np.ndarray):
     """The constrained system on one fixed CSC pattern: ``A`` plus local
     blocks over ``dofs`` (nb, nd), with every entry in a row or column of
     a ``fixed`` dof dropped (homogeneous data) and the free dofs numbered
-    in order.
+    in order.  The ``n = fixed.size`` dofs may outnumber ``A``'s, which
+    then covers the leading ones.
 
     Returns ``(add, free)``: ``free`` lists the free dofs, and
     ``add(blocks)`` gives the CSC matrix of ``A + scatter(blocks, dofs, n)``
@@ -442,7 +444,7 @@ def fixed_pattern(A: sp.spmatrix, dofs: np.ndarray, fixed: np.ndarray):
     by a sort of column-major keys; ``add`` copies ``A``'s values and adds
     the blocks' with one ``bincount``.
     """
-    n = A.shape[0]
+    n = fixed.size
     free = np.flatnonzero(~fixed)
     nf = free.size
     local = np.full(n, nf)          # fixed dofs map past the last free one
@@ -450,7 +452,7 @@ def fixed_pattern(A: sp.spmatrix, dofs: np.ndarray, fixed: np.ndarray):
     A = A.tocsc()
     nd = dofs.shape[1]
     rows = local[np.concatenate([A.indices, np.repeat(dofs, nd, axis=1).ravel()])]
-    cols = local[np.concatenate([np.repeat(np.arange(n), np.diff(A.indptr)),
+    cols = local[np.concatenate([np.repeat(np.arange(A.shape[1]), np.diff(A.indptr)),
                                  np.tile(dofs, (1, nd)).ravel()])]
     kept = (rows < nf) & (cols < nf)
     # column-major keys, whose sorted order is the CSC order; A's come

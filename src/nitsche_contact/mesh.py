@@ -537,7 +537,7 @@ def dump_mesh(mesh: Mesh) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_mesh(text: str, bbox=None) -> Mesh:
+def parse_mesh(text: str) -> Mesh:
     rows = text.strip().splitlines()
     head = rows[0].split()
     if head[0] != "vertices" or head[2] != "triangles":
@@ -551,11 +551,10 @@ def parse_mesh(text: str, bbox=None) -> Mesh:
         tris.append((i, j, k))
         body = tag
     triangles = np.array(tris, dtype=int)
-    if bbox is None:
-        bbox = (
-            float(vertices[:, 0].min()),
-            float(vertices[:, 0].max()),
-            float(vertices[:, 1].min()),
-            float(vertices[:, 1].max()),
-        )
+    bbox = (
+        float(vertices[:, 0].min()),
+        float(vertices[:, 0].max()),
+        float(vertices[:, 1].min()),
+        float(vertices[:, 1].max()),
+    )
     return _make_mesh(vertices, triangles, body, bbox)

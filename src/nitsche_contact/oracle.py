@@ -13,7 +13,9 @@ with ``g_q`` the weighted residual between the multiplier and the
 eliminated-pressure expression.  It is solved by one of two methods,
 named by the caller: ``enumerate`` tries every active pattern of a tiny
 instance and verifies each candidate independently; ``pdas`` runs a
-primal-dual active-set iteration on the samples.
+primal-dual active-set iteration on the samples.  The saddle system is
+written like the Nitsche form, one block per segment through ``outer_sums``
+and ``fixed_pattern``; an active pattern is a mask on those blocks.
 
 This path exists to certify that the displacement-only solver and its
 pressure reconstruction coincide with the explicit mixed solution.
@@ -42,7 +44,7 @@ from .contact import (
     lh_values,
     mortar,
 )
-from .fem import expand, fixed_pattern, scatter
+from .fem import expand, fixed_pattern
 
 ENUMERATION_SAMPLE_CAP = 12
 TOL = 1e-9            # complementarity tolerance of an accepted solution
@@ -55,21 +57,20 @@ class InfeasibleError(RuntimeError):
 
 @dataclass
 class MixedSystem:
-    """Symmetric saddle system in (displacements, multiplier samples).
-
-    ``matrix`` is the full stabilised operator; the multiplier block is
-    negative semidefinite.  ``constrained`` eliminates the problem's
-    fixed dofs from it once, for every active pattern a solve tries.
-    ``mortar`` is the variant's record at the samples, built once per
-    system; its ``c_q`` holds the per-sample weights that turn
-    multiplier rows into the complementarity residual.
+    """Symmetric saddle system in (displacements, multiplier samples): the
+    bulk matrix plus ``blocks[s]`` over ``dofs[s]``, segment ``s``'s patch
+    dofs and then its multipliers, numbered after the displacements.  The
+    multiplier block is negative semidefinite.  ``mortar`` is the variant's
+    record at the samples; its ``c_q`` holds the per-sample weights that
+    turn multiplier rows into the complementarity residual.
     """
 
     problem: ContactProblem
     config: NitscheConfig
     data: InterfaceData
     mortar: Mortar
-    matrix: sp.csr_matrix
+    blocks: np.ndarray        # (nseg, nd * nd)
+    dofs: np.ndarray          # (nseg, nd)
     rhs: np.ndarray
 
     @property
@@ -80,19 +81,20 @@ class MixedSystem:
     def n_lam(self) -> int:
         return self.data.num_samples
 
+    @property
+    def matrix(self) -> sp.csc_matrix:
+        """The full operator, through ``fixed_pattern`` with nothing fixed."""
+        add, _ = fixed_pattern(bulk_system(self.problem)[0], self.dofs,
+                               np.zeros(self.n_u + self.n_lam, dtype=bool))
+        return add(self.blocks)
+
     @cached_property
     def constrained(self):
-        """The system with the problem's fixed dofs eliminated, once per
-        system: ``(K (csc), rhs, free, column of each entry of K, position
-        in K.data of each multiplier's diagonal entry)``.  The multipliers
-        are the last ``n_lam`` free unknowns."""
+        """``(add, rhs, free)`` with the problem's fixed dofs eliminated, once
+        for every pattern a solve tries; the multipliers are the last unknowns."""
         fixed = np.concatenate([self.problem.fixed_mask(), np.zeros(self.n_lam, dtype=bool)])
-        add, free = fixed_pattern(self.matrix, np.empty((0, 0), dtype=int), fixed)
-        K = add(np.empty(0))
-        entry_cols = np.repeat(np.arange(K.shape[1]), np.diff(K.indptr))
-        diag = np.flatnonzero((entry_cols == K.indices)
-                              & (entry_cols >= free.size - self.n_lam))
-        return K, self.rhs[free], free, entry_cols, diag
+        add, free = fixed_pattern(bulk_system(self.problem)[0], self.dofs, fixed)
+        return add, self.rhs[free], free
 
 
 def build_mixed_system(problem: ContactProblem, config: NitscheConfig) -> MixedSystem:
@@ -100,35 +102,27 @@ def build_mixed_system(problem: ContactProblem, config: NitscheConfig) -> MixedS
 
     Only the variant's stabilisation pairs ``(c_k, R_k)`` and their sum
     ``c_q`` enter; eliminating the multiplier gives back the Nitsche form.
+    With ``E`` a sample's multiplier row, its weight ``-w`` multiplies
+    ``J E + E J + c_q E E`` and each pair's ``c_k (R_k R_k + R_k E + E R_k)``.
     """
     data = build_interface_data(problem)
-    A, b = bulk_system(problem)
-    n_u = problem.num_dofs
-    n_l = data.num_samples
     m = mortar(data, problem.materials, config)
-    stab = [(c, combine(weights, data.t1, data.t2)) for c, weights in m.stab]
-
+    n_l, nq = data.num_samples, data.n_per_seg
+    nseg, npatch = data.dofs.shape
+    # rows over the segment's patch dofs followed by its multipliers
+    pad = lambda rows: np.hstack([rows, np.zeros((n_l, nq))])
+    E = np.zeros((n_l, npatch + nq))
+    E[np.arange(n_l), npatch + np.arange(n_l) % nq] = 1.0
     w = data.weights
-    n = n_u + n_l
-    # displacement-displacement stabilisation: -sum c_k R_k^T R_k, per segment
-    uu = scatter(data.outer_sums([(-w * c, R, R) for c, R in stab]), data.dofs, n)
-    # displacement-multiplier coupling: -(jump + sum c_k R_k)
-    coupling = -w[:, None] * data.jump
-    for c, R in stab:
-        coupling = coupling - (w * c)[:, None] * R
-    d = data.dofs[data.seg_of]                       # (n_l, npatch)
-    diag = n_u + np.arange(n_l)                      # multiplier unknowns
-    mult = np.broadcast_to(diag[:, None], d.shape)
-    rows = np.concatenate([d.ravel(), mult.ravel(), diag])
-    cols = np.concatenate([mult.ravel(), d.ravel(), diag])
-    vals = np.concatenate([coupling.ravel(), coupling.ravel(),
-                           -w * m.c_q])    # multiplier-multiplier: -c_q
-    full = A.copy()
-    full.resize((n, n))    # empty multiplier rows and columns; far cheaper than sp.bmat
-    full = full + uu + sp.coo_matrix((vals, (rows, cols)), shape=(n, n))
-    rhs = np.concatenate([b, np.zeros(n_l)])
+    J = pad(data.jump)
+    terms = [(-w, J, E), (-w, E, J), (-w * m.c_q, E, E)]
+    for c, weights in m.stab:
+        R = pad(combine(weights, data.t1, data.t2))
+        terms += [(-w * c, R, R), (-w * c, R, E), (-w * c, E, R)]
+    dofs = np.hstack([data.dofs, problem.num_dofs + np.arange(n_l).reshape(nseg, nq)])
+    rhs = np.concatenate([bulk_system(problem)[1], np.zeros(n_l)])
     return MixedSystem(problem=problem, config=config, data=data, mortar=m,
-                       matrix=full, rhs=rhs)
+                       blocks=data.outer_sums(terms), dofs=dofs, rhs=rhs)
 
 
 @dataclass
@@ -154,20 +148,20 @@ def _lu_solve(K: sp.csc_matrix, r: np.ndarray) -> np.ndarray:
 def _solve_pattern(system: MixedSystem, pattern: np.ndarray):
     """Solve with multiplier samples clamped to zero off the pattern.
 
-    Active samples keep their saddle rows; inactive ones are eliminated
-    like homogeneous Dirichlet constraints: their rows and columns of the
-    system constrained once (``MixedSystem.constrained``) are zeroed,
-    their diagonal set to 1 and their right-hand side (zero already) kept
-    at 0.  The saddle matrix is indefinite, so it is factored by
-    ``_lu_solve``, never by the Nitsche solve's symmetric factor.
+    Inactive samples are eliminated like homogeneous Dirichlet
+    constraints, by a mask on the segment blocks: ``keep (x) keep`` (1 on
+    the patch dofs, the pattern on the multipliers), plus 1 on each
+    inactive multiplier's diagonal.  The saddle matrix is indefinite, so
+    it is factored by ``_lu_solve``, never by the Nitsche symmetric factor.
     """
-    K, r, free, entry_cols, diag = system.constrained
-    keep = np.ones(K.shape[0])
-    keep[free.size - system.n_lam:] = pattern
-    values = K.data * keep[entry_cols] * keep[K.indices]
-    values[diag[~pattern]] = 1.0
-    Kp = sp.csc_matrix((values, K.indices, K.indptr), shape=K.shape)
-    x = expand(_check_solution(Kp, r, _lu_solve(Kp, r)), free, system.n_u + system.n_lam)
+    add, r, free = system.constrained
+    nseg, nd = system.dofs.shape
+    keep = np.ones((nseg, nd))
+    keep[:, nd - system.data.n_per_seg:] = pattern.reshape(nseg, -1)
+    blocks = system.blocks.reshape(nseg, nd, nd) * keep[:, :, None] * keep[:, None, :]
+    blocks.reshape(nseg, -1)[:, ::nd + 1] += 1.0 - keep     # the blocks' diagonals
+    K = add(blocks)
+    x = expand(_check_solution(K, r, _lu_solve(K, r)), free, system.n_u + system.n_lam)
     return x[: system.n_u], x[system.n_u:]
 
 

@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nitsche_contact.contact as contact
+import nitsche_contact.oracle as oracle
 from nitsche_contact.adapt import initial_meshes, make_experiment, make_problem
 from nitsche_contact.contact import (
     MASTER_SLAVE,
@@ -46,7 +47,6 @@ from nitsche_contact.mesh import (
     build_interface,
     geometric_tolerance,
 )
-from nitsche_contact.oracle import build_mixed_system
 
 RTOL = 1e-12
 PAIRS = (((1, 2), (2, 4)), ((2, 2), (3, 4)), ((2, 3), (1, 8)))
@@ -197,11 +197,30 @@ def test_batched_kernels_match_sample_loops(case, draw):
     assert constrained.format == "csc" and constrained.has_canonical_format
     assert close(constrained, (A0 + N)[free][:, free])
 
-    system = build_mixed_system(problem, config)
+    system = oracle.build_mixed_system(problem, config)
     M, rhs, c = reference_mixed(problem, config)
     assert close(system.matrix, M)
     assert np.array_equal(system.rhs, rhs)
     assert close(system.mortar.c_q, c)
+
+    # the matrix a pattern solve factors: the inactive multipliers' rows
+    # and columns zeroed with 1 on their diagonal, the fixed dofs dropped
+    factored, lu_solve = [], oracle._lu_solve
+
+    def capture(K, r):
+        factored.append(K)
+        return lu_solve(K, r)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(oracle, "_lu_solve", capture)
+        oracle._solve_pattern(system, active)
+    inactive = n + np.flatnonzero(~active)
+    M[inactive] = 0.0
+    M[:, inactive] = 0.0
+    M[inactive, inactive] = 1.0
+    kept = np.concatenate([~problem.fixed_mask(), np.ones(ns, dtype=bool)])
+    assert len(factored) == 1
+    assert close(factored[0], M[np.ix_(kept, kept)])
 
 
 class TestProblemCache:

@@ -229,16 +229,6 @@ class TestBulk:
         d = abs(K - K.T).max()
         assert d < 1e-12 * abs(K).max()
 
-    def test_quadrature_saturation(self):
-        # raising the rule two degrees must not change the entries; the
-        # default rule (None) is exact, degree 2 (p - 1)
-        for p, qd, higher in ((1, 2, 4), (2, 4, 6), (1, None, 2), (2, None, 4)):
-            space = FeSpace.build(body1_mesh(2, 2), p)
-            K1 = assemble_bulk(space, STEEL_LIKE, quad_degree=qd)
-            K2 = assemble_bulk(space, STEEL_LIKE, quad_degree=higher)
-            scale = abs(K1).max()
-            assert abs(K1 - K2).max() < 1e-12 * scale
-
     @pytest.mark.parametrize("degree", [1, 2])
     def test_entries_are_the_energy_of_unit_dof_pairs(self, degree):
         # K_ij = int sigma(u_i) : eps(u_j) over the elements sharing both dofs,
@@ -369,6 +359,25 @@ class TestDirichlet:
         Kf = add(blocks + blocks.swapaxes(1, 2))
         assert Kf.shape == (free.size, free.size)
         assert abs(Kf - Kf.T).max() < 1e-14
+
+    def test_matrix_over_the_leading_dofs(self):
+        # blocks may reach past A's dofs: A then covers the leading ones,
+        # as if padded with empty rows and columns
+        space = FeSpace.build(body1_mesh(2, 2), 1)
+        K = assemble_bulk(space, STEEL_LIKE)
+        n = space.num_dofs
+        fixed = np.concatenate([dirichlet_mask(space), [False, True, False]])
+        dofs = np.column_stack([space.cell_dofs, n + np.arange(len(space.cell_dofs)) % 3])
+        blocks = np.random.default_rng(1).standard_normal((len(dofs), 7 * 7))
+        padded = K.copy()
+        padded.resize((n + 3, n + 3))
+        add, free = fixed_pattern(K, dofs, fixed)
+        add_padded, free_padded = fixed_pattern(padded, dofs, fixed)
+        assert np.array_equal(free, free_padded)
+        Kf, Kp = add(blocks), add_padded(blocks)
+        assert Kf.shape == (free.size, free.size)
+        assert np.array_equal(Kf.indptr, Kp.indptr) and np.array_equal(Kf.indices, Kp.indices)
+        assert np.array_equal(Kf.data, Kp.data)
 
     @pytest.mark.parametrize("experiment", ["pressing", "bending", "patch"])
     @pytest.mark.parametrize("degree", [1, 2])
