@@ -7,9 +7,10 @@ components of each scalar node, ``dof = 2 * node + component``
 nodes are the mesh vertices followed by one node per facet (edge
 midpoints).  Local blocks enter a sparse matrix only through ``scatter``,
 or through ``fixed_pattern``, the one owner of the constrained system:
-it drops the Dirichlet dofs and fixes the pattern that both the Nitsche
-solve and the mixed oracle factor; the oracle's blocks also cover the
-multipliers, numbered after the displacement dofs of the bulk matrix.
+it drops the Dirichlet dofs and fixes the pattern of the matrices that
+the Nitsche solve and the mixed oracle factor (the oracle's displacement
+block); for ``MixedSystem.matrix`` the blocks also cover the multipliers,
+numbered after the displacement dofs of the bulk matrix.
 
 Hooke's law is written once, in ``stress``, batched and applied to
 displacement gradients: those of the local unit dofs (``_unit_gradients``)
@@ -19,7 +20,7 @@ for the stiffness matrix and the traction rows, a field's for the estimator.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable
 
 import numpy as np
@@ -146,10 +147,15 @@ def triangle_rule(degree: int):
     raise ValueError(f"no triangle rule of degree {degree}")
 
 
+@cache
 def gauss1d(n: int):
-    """Gauss-Legendre rule mapped to [0, 1]."""
+    """Gauss-Legendre rule mapped to [0, 1], derived once per ``n``; every
+    call hands out the same read-only arrays."""
     x, w = np.polynomial.legendre.leggauss(n)
-    return 0.5 * (x + 1.0), 0.5 * w
+    rule = 0.5 * (x + 1.0), 0.5 * w
+    for a in rule:
+        a.setflags(write=False)
+    return rule
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,10 @@ named by the caller: ``enumerate`` tries every active pattern of a tiny
 instance and verifies each candidate independently; ``pdas`` runs a
 primal-dual active-set iteration on the samples.  The saddle system is
 written like the Nitsche form, one block per segment through ``outer_sums``
-and ``fixed_pattern``; an active pattern is a mask on those blocks.
+and ``fixed_pattern``.  Each system is condensed onto its multipliers once:
+one factor of the displacement block solves for the load and for every
+multiplier column, which leaves a dense Schur complement ``S`` on the
+samples.  An active pattern is then one small dense solve on ``S``.
 
 This path exists to certify that the displacement-only solver and its
 pressure reconstruction coincide with the explicit mixed solution.
@@ -89,12 +92,32 @@ class MixedSystem:
         return add(self.blocks)
 
     @cached_property
-    def constrained(self):
-        """``(add, rhs, free)`` with the problem's fixed dofs eliminated, once
-        for every pattern a solve tries; the multipliers are the last unknowns."""
-        fixed = np.concatenate([self.problem.fixed_mask(), np.zeros(self.n_lam, dtype=bool)])
-        add, free = fixed_pattern(bulk_system(self.problem)[0], self.dofs, fixed)
-        return add, self.rhs[free], free
+    def condensed(self):
+        """``(z, Z, S, q, free)``: the saddle system condensed onto the
+        multipliers, once for every pattern a solve tries.
+
+        With ``Auu`` the displacement block over the free dofs, ``B`` the
+        multiplier rows over them and ``D`` the multiplier block, one
+        factor of ``Auu`` gives ``[z | Z] = Auu^-1 [b | B^T]``; then
+        ``u = z - Z lam`` and ``S lam = q`` with ``S = B Z - D`` and
+        ``q = B z`` minus the multipliers' right-hand side.
+        """
+        nseg, nd = self.dofs.shape
+        npatch = self.data.dofs.shape[1]
+        blocks = self.blocks.reshape(nseg, nd, nd)
+        add, free = fixed_pattern(bulk_system(self.problem)[0], self.data.dofs,
+                                  self.problem.fixed_mask())
+        Auu = add(blocks[:, :npatch, :npatch].reshape(nseg, -1))
+        ids = self.dofs[:, npatch:] - self.n_u       # each segment's multipliers
+        B = np.zeros((self.n_lam, self.n_u))
+        B[ids[:, :, None], self.data.dofs[:, None, :]] = blocks[:, npatch:, :npatch]
+        B = B[:, free]
+        D = np.zeros((self.n_lam, self.n_lam))
+        D[ids[:, :, None], ids[:, None, :]] = blocks[:, npatch:, npatch:]
+        r = np.column_stack([self.rhs[free], B.T])
+        x = _check_solution(Auu, r, _lu_solve(Auu, r))
+        z, Z = x[:, 0], x[:, 1:]
+        return z, Z, B @ Z - D, B @ z - self.rhs[self.n_u:], free
 
 
 def build_mixed_system(problem: ContactProblem, config: NitscheConfig) -> MixedSystem:
@@ -135,9 +158,9 @@ class MixedResult:
 
 
 def _lu_solve(K: sp.csc_matrix, r: np.ndarray) -> np.ndarray:
-    """Solve ``K x = r`` by SuperLU's general LU, with ``spsolve``'s
-    defaults: COLAMD ordering and partial pivoting.  An exactly singular
-    factor raises ``SolverError``."""
+    """Solve ``K x = r``, one column of ``x`` per column of ``r``, by
+    SuperLU's general LU with ``spsolve``'s defaults: COLAMD ordering and
+    partial pivoting.  An exactly singular factor raises ``SolverError``."""
     try:
         lu = splu(K)
     except RuntimeError as exc:   # SuperLU reports an exactly singular factor
@@ -148,21 +171,19 @@ def _lu_solve(K: sp.csc_matrix, r: np.ndarray) -> np.ndarray:
 def _solve_pattern(system: MixedSystem, pattern: np.ndarray):
     """Solve with multiplier samples clamped to zero off the pattern.
 
-    Inactive samples are eliminated like homogeneous Dirichlet
-    constraints, by a mask on the segment blocks: ``keep (x) keep`` (1 on
-    the patch dofs, the pattern on the multipliers), plus 1 on each
-    inactive multiplier's diagonal.  The saddle matrix is indefinite, so
-    it is factored by ``_lu_solve``, never by the Nitsche symmetric factor.
+    On the condensed system this is one dense solve of ``S`` restricted to
+    the active samples, ``lam = 0`` elsewhere, and ``u = z - Z lam``; the
+    displacement block was factored once, by ``_lu_solve``, when the
+    system was condensed.  A singular restriction raises ``SolverError``.
     """
-    add, r, free = system.constrained
-    nseg, nd = system.dofs.shape
-    keep = np.ones((nseg, nd))
-    keep[:, nd - system.data.n_per_seg:] = pattern.reshape(nseg, -1)
-    blocks = system.blocks.reshape(nseg, nd, nd) * keep[:, :, None] * keep[:, None, :]
-    blocks.reshape(nseg, -1)[:, ::nd + 1] += 1.0 - keep     # the blocks' diagonals
-    K = add(blocks)
-    x = expand(_check_solution(K, r, _lu_solve(K, r)), free, system.n_u + system.n_lam)
-    return x[: system.n_u], x[system.n_u:]
+    z, Z, S, q, free = system.condensed
+    a = np.flatnonzero(pattern)
+    lam = np.zeros(system.n_lam)
+    try:
+        lam[a] = np.linalg.solve(S[np.ix_(a, a)], q[a])
+    except np.linalg.LinAlgError as exc:
+        raise SolverError(f"singular multiplier system on this pattern: {exc}") from exc
+    return expand(z - Z[:, a] @ lam[a], free, system.n_u), lam
 
 
 def check_vi_residual(system: MixedSystem, u: np.ndarray, lam: np.ndarray) -> float:
@@ -192,13 +213,14 @@ def solve_mixed(problem: ContactProblem, config: NitscheConfig, method: str) -> 
         raise ValueError(f"unknown method {method!r}; choose 'enumerate' or 'pdas'")
     system = build_mixed_system(problem, config)
     ns = system.n_lam
+    if method == "enumerate" and ns > ENUMERATION_SAMPLE_CAP:
+        raise ValueError(
+            f"{ns} multiplier samples exceed the enumeration cap "
+            f"{ENUMERATION_SAMPLE_CAP}; use method='pdas'"
+        )
+    system.condensed   # a singular displacement block raises here, for either method
 
     if method == "enumerate":
-        if ns > ENUMERATION_SAMPLE_CAP:
-            raise ValueError(
-                f"{ns} multiplier samples exceed the enumeration cap "
-                f"{ENUMERATION_SAMPLE_CAP}; use method='pdas'"
-            )
         tried = 0
         for bits in product((True, False), repeat=ns):
             pattern = np.array(bits, dtype=bool)

@@ -77,6 +77,12 @@ class TestQuadrature:
         x, w = gauss1d(3)
         for k in range(6):
             assert (w * x**k).sum() == pytest.approx(1.0 / (k + 1), rel=1e-13)
+        # derived once: every call hands out the same read-only arrays
+        again = gauss1d(3)
+        assert again[0] is x and again[1] is w
+        assert not x.flags.writeable and not w.flags.writeable
+        ref_x, ref_w = np.polynomial.legendre.leggauss(3)
+        assert np.array_equal(x, 0.5 * (ref_x + 1.0)) and np.array_equal(w, 0.5 * ref_w)
 
 
 class TestBasis:

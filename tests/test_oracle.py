@@ -59,14 +59,16 @@ class TestMixedSolve:
 
     def test_missing_constraints_raise(self):
         # vertical load with horizontal-only clamps and no pin: the free
-        # vertical rigid mode makes the saddle system singular
+        # vertical rigid mode makes the displacement block singular, for
+        # either method before any pattern is tried
         _, prob = tiny_problem(res=((2, 2), (3, 4)))
         vertical = lambda x: np.column_stack([np.zeros(len(x)), -0.05 * np.ones(len(x))])
         loose = ContactProblem(spaces=prob.spaces, materials=prob.materials,
                                segments=prob.segments, body_loads=(vertical, None),
                                pins=())
-        with pytest.raises(SolverError):
-            solve_mixed(loose, NitscheConfig(alpha=1e-2), method="pdas")
+        for method in ("pdas", "enumerate"):
+            with pytest.raises(SolverError):
+                solve_mixed(loose, NitscheConfig(alpha=1e-2), method=method)
 
     def test_enumeration_skips_only_solver_errors(self, monkeypatch):
         def broken(K, r):
