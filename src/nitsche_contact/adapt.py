@@ -211,6 +211,7 @@ class ConvergenceRecord:
     eta_contact: float
     eta_neumann: float
     iterations: int
+    factorizations: int   # of the step's solve; its other iterations were updates
 
 
 @dataclass
@@ -292,6 +293,7 @@ def run_study(cfg: StudyConfig) -> StudyOutput:
             eta_contact=float(np.sqrt(totals["contact"])),
             eta_neumann=float(np.sqrt(totals["neumann"])),
             iterations=result.iterations,
+            factorizations=result.factorizations,
         ))
         last = (mesh1, mesh2, result, rep)
         start = (result.data.points, result.active)

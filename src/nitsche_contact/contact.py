@@ -33,12 +33,17 @@ an exact parametrisation of the segmentwise polynomial multiplier.
 
 Each solve fixes one CSC pattern over the free dofs, the bulk matrix
 plus the interface blocks (``fem.fixed_pattern``, which also owns the
-elimination of the Dirichlet dofs); an iteration adds its blocks' values
-and factors the result once.  Below the inverse-inequality bound on
-alpha the Nitsche matrix is symmetric positive definite (Stenberg's
-reading of Nitsche's method as a stabilised method), so ``spsolve``
-factors it symmetrically without pivoting and reads the inertia from
-the pivots.
+elimination of the Dirichlet dofs); an iteration adds its blocks' values.
+Below the inverse-inequality bound on alpha the Nitsche matrix is
+symmetric positive definite (Stenberg's reading of Nitsche's method as a
+stabilised method), so ``spsolve`` factors it symmetrically without
+pivoting and reads the inertia from the pivots.  A solve factors its
+first matrix only.  A later iteration's matrix differs from that one in
+the forms of the samples that changed state, a term of low rank, and is
+solved from the same factor by the Sherman-Morrison-Woodbury formula
+(Hager, SIAM Review 31, 1989), whose small capacitance matrix also gives
+the inertia.  An update of rank beyond the factor's mean fill per column
+is factored afresh instead, and that factor becomes the base.
 """
 
 from __future__ import annotations
@@ -49,13 +54,13 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg import block_diag
 from scipy.sparse.linalg import splu
 
 from .fem import (
     FeSpace,
     FieldFunction,
     assemble_boundary_load,
-    assemble_bulk,
     assemble_load,
     dirichlet_mask,
     elastic_moduli_rows,
@@ -66,6 +71,7 @@ from .fem import (
     scatter,
     shape_gradients,
     shape_values,
+    stiffness_blocks,
 )
 from .mesh import Interface, Mesh
 
@@ -165,12 +171,19 @@ class ContactProblem:
 
     @cached_property
     def _bulk(self):
-        A = sp.block_diag(
-            [assemble_bulk(self.spaces[0], self.materials[0]),
-             assemble_bulk(self.spaces[1], self.materials[1])],
-            format="csr",
-        )
-        A.sum_duplicates()  # canonical now, so no later call sorts in place
+        # one scatter over both bodies' element blocks, body 2's dofs
+        # offset; each body's kernel writes into its part of one array
+        cells = np.cumsum([0] + [space.mesh.num_triangles for space in self.spaces])
+        nd = self.spaces[0].cell_dofs.shape[1]
+        blocks = np.empty((cells[-1], nd, nd))
+        dofs = np.empty((cells[-1], nd), dtype=np.int32)
+        for body in (1, 2):
+            part = slice(cells[body - 1], cells[body])
+            stiffness_blocks(self.spaces[body - 1], self.materials[body - 1], out=blocks[part])
+            dofs[part] = self.offset(body) + self.spaces[body - 1].cell_dofs
+        # a copy, because the duplicates summed out of the scatter leave
+        # its arrays as views of buffers up to half again as long
+        A = scatter(blocks, dofs, self.num_dofs).copy()
         b = np.zeros(self.num_dofs)
         for body in (1, 2):
             space = self.spaces[body - 1]
@@ -394,37 +407,76 @@ def assemble_nitsche(data: InterfaceData, m: Mortar, config: NitscheConfig,
     whether the inactive terms are dropped.  The blocks
     (``_nitsche_blocks``) go through ``scatter``.
     """
-    return scatter(_nitsche_blocks(data, m, config, active), data.dofs, ndofs)
+    forms = _sample_forms(data, m, config)
+    return scatter(_nitsche_blocks(data, forms.rows, forms.at(active)), data.dofs, ndofs)
 
 
-def _nitsche_blocks(data: InterfaceData, m: Mortar, config: NitscheConfig,
-                   active: np.ndarray) -> np.ndarray:
-    """Per-segment blocks of the interface form over ``data.dofs``.
+class _Forms(NamedTuple):
+    """The interface form at every sample as ``R^T F R``, per unit
+    quadrature weight: rows ``R`` over the patch dofs and coefficient
+    matrices ``F`` for each contact state."""
+
+    rows: np.ndarray   # (ns, k, npatch)
+    off: np.ndarray    # (ns, k, k) inactive state
+    on: np.ndarray     # (ns, k, k) active state
+
+    def at(self, active: np.ndarray) -> np.ndarray:
+        """Every sample's coefficients in the state ``active`` gives it."""
+        if active.shape != self.off.shape[:1]:
+            raise ValueError(
+                f"active indicator has length {active.shape}, expected {self.off.shape[0]}"
+            )
+        return np.where(active[:, None, None], self.on, self.off)
+
+
+def _sample_forms(data: InterfaceData, m: Mortar, config: NitscheConfig) -> _Forms:
+    """The variant's form at the samples of ``data``.
 
     On the active samples the form is ``penalty J J + M J + J M - gamma
-    D D``; on the inactive ones the stabilisation ``-sum c_k R_k R_k``,
-    unless ``config`` drops it.  ``assemble_nitsche`` scatters these
-    blocks into a matrix, ``solve`` adds them onto its fixed pattern.
+    D D`` with ``D = T2 - T1``; on the inactive ones the stabilisation
+    ``-sum c_k R_k R_k``, unless ``config`` drops it.  The rows are the
+    jump ``J`` and the combined traction ``M`` when the form reads no
+    other traction (k = 2), and otherwise ``J``, ``T1`` and ``T2``, each
+    traction then given by its weights (k = 3).
     """
-    if active.shape != (data.num_samples,):
-        raise ValueError(
-            f"active indicator has length {active.shape}, expected {data.num_samples}"
-        )
     T1, T2, J = data.t1, data.t2, data.jump
-    M = combine(m.traction, T1, T2)
+    ns = data.num_samples
+    stab = () if config.drop_inactive_terms else m.stab
+    if m.gamma is None and all(weights is m.traction for _, weights in stab):
+        rows = np.stack([J, combine(m.traction, T1, T2)], axis=1)
 
-    # (per-sample coefficient, left row, right row): coefficient * left^T right
-    on = data.weights * active
-    terms = [(on * m.penalty, J, J), (on, M, J), (on, J, M)]
+        def coords(weights):   # the one traction read is M itself
+            return np.broadcast_to([0.0, 1.0], (ns, 2))
+    else:
+        rows = np.stack([J, T1, T2], axis=1)
+
+        def coords(weights):
+            return np.column_stack(np.broadcast_arrays(np.zeros(ns), *weights))
+
+    def outer(x, y):
+        return x[:, :, None] * y[:, None, :]
+
+    e_jump = np.broadcast_to(np.eye(rows.shape[1])[0], (ns, rows.shape[1]))
+    e_m = coords(m.traction)
+    on = m.penalty[:, None, None] * outer(e_jump, e_jump) + outer(e_m, e_jump) + outer(e_jump, e_m)
     if m.gamma is not None:
-        D = T2 - T1
-        terms.append((-on * m.gamma, D, D))
-    if not config.drop_inactive_terms:
-        off = data.weights * ~active
-        for c, weights in m.stab:
-            R = M if weights is m.traction else combine(weights, T1, T2)
-            terms.append((-off * c, R, R))
-    return data.outer_sums(terms)
+        e_d = coords((-1.0, 1.0))
+        on -= m.gamma[:, None, None] * outer(e_d, e_d)
+    off = np.zeros_like(on)
+    for c, weights in stab:
+        e_r = coords(weights)
+        off -= c[:, None, None] * outer(e_r, e_r)
+    return _Forms(rows, off, on)
+
+
+def _nitsche_blocks(data: InterfaceData, rows: np.ndarray, coef: np.ndarray) -> np.ndarray:
+    """Per-segment blocks over ``data.dofs`` of the sample forms
+    ``R^T F R`` (rows ``R`` and coefficients ``F`` of ``_Forms``), weighted
+    by the quadrature.  ``assemble_nitsche`` scatters these blocks into a
+    matrix, ``solve`` adds them onto its fixed pattern."""
+    left = np.einsum("skl,sld->skd", coef, rows)
+    return data.outer_sums([(data.weights, rows[:, i], left[:, i])
+                            for i in range(rows.shape[1])])
 
 
 @dataclass
@@ -437,6 +489,7 @@ class SolveResult:
     active: np.ndarray
     lam: np.ndarray
     iterations: int
+    factorizations: int       # of the iterations' matrices; the others were updates
 
     @property
     def fields(self):
@@ -454,8 +507,9 @@ class SolveResult:
         return self.data.rows_dot(rows, self.u)
 
 
-def spsolve(A: sp.csc_matrix, b: np.ndarray, alpha: float) -> np.ndarray:
-    """Solve the symmetric positive definite Nitsche system ``A x = b``.
+def spsolve(A: sp.csc_matrix, b: np.ndarray, alpha: float) -> "_Factor":
+    """Factor the symmetric positive definite Nitsche matrix ``A`` and
+    solve ``A x = b``; the returned factor holds ``x`` as ``z``.
 
     SuperLU factors ``A`` in symmetric mode without pivoting, ordered by
     minimum degree on ``A + A^T``, which fills a third to a half as much
@@ -479,14 +533,54 @@ def spsolve(A: sp.csc_matrix, b: np.ndarray, alpha: float) -> np.ndarray:
                   options={"SymmetricMode": True})
     except RuntimeError as exc:   # SuperLU reports an exactly singular factor
         raise SolverError(f"singular system: {exc}") from exc
-    pivot = lu.U.diagonal().min(initial=np.inf)
+    U = lu.U
+    pivot = U.diagonal().min(initial=np.inf)
     if not (np.array_equal(lu.perm_r, lu.perm_c) and pivot > 0.0):
-        raise SolverError(
-            f"the Nitsche matrix is not positive definite (smallest pivot {pivot:.3g}):"
-            f" alpha = {alpha:g} is too large for the inverse inequality,"
-            " or Dirichlet constraints are missing"
-        )
-    return _check_solution(A, b, lu.solve(b))
+        raise _not_positive_definite(alpha, f"smallest pivot {pivot:.3g}")
+    return _Factor(lu, _check_solution(A, b, lu.solve(b)), U.nnz / A.shape[0])
+
+
+def _not_positive_definite(alpha: float, evidence: str) -> SolverError:
+    return SolverError(
+        f"the Nitsche matrix is not positive definite ({evidence}):"
+        f" alpha = {alpha:g} is too large for the inverse inequality,"
+        " or Dirichlet constraints are missing"
+    )
+
+
+class _Factor(NamedTuple):
+    """An SPD factor of a base matrix ``A``, the solution ``z`` of
+    ``A z = b`` and the mean fill of ``U`` per column."""
+
+    lu: object
+    z: np.ndarray
+    fill: float
+
+    def solve_updated(self, U: np.ndarray, C: np.ndarray, alpha: float) -> np.ndarray:
+        """Solve ``(A + U C U^T) u = b`` for a symmetric ``C`` (r, r) by
+        the Sherman-Morrison-Woodbury formula: with ``Z = A^-1 U`` (one
+        solve with r right-hand sides) and ``G = U^T Z``,
+        ``(I + C G) y = C U^T z`` and ``u = z - Z y``.
+
+        ``A`` is SPD, so ``A + U C U^T`` is congruent to ``I + W C W^T``
+        with ``W = A^-1/2 U``, whose eigenvalues other than 1 are those of
+        ``I + G^1/2 C G^1/2`` (Sylvester's law of inertia): the update is
+        SPD iff that r x r matrix is positive definite.  Otherwise it
+        raises ``SolverError`` naming alpha, as a non-positive pivot
+        does.  ``det(I + C G) = det(A + U C U^T) / det(A)`` (the matrix
+        determinant lemma), so a positive definite check leaves ``I + C G``
+        nonsingular.
+        """
+        Z = self.lu.solve(U)
+        G = U.T @ Z
+        w, V = np.linalg.eigh(G)
+        half = (V * np.sqrt(np.maximum(w, 0.0))) @ V.T
+        smallest = 1.0 + np.linalg.eigvalsh(half @ C @ half).min(initial=np.inf)
+        if not smallest > 0.0:
+            raise _not_positive_definite(
+                alpha, f"smallest eigenvalue {smallest:.3g} of its rank-{len(C)} update")
+        y = np.linalg.solve(np.eye(len(C)) + C @ G, C @ (U.T @ self.z))
+        return self.z - Z @ y
 
 
 def _check_solution(Af, bf, uf):
@@ -555,14 +649,27 @@ def solve(config: NitscheConfig, problem: ContactProblem, start=None) -> SolveRe
     bodies are modelled as initially in contact).  A repeated
     non-consecutive indicator is reported as nonconvergence rather than
     damped.
+
+    The first iteration's factor is the base.  A later matrix differs
+    from it only in the forms of the samples whose state differs, so it
+    is the base plus ``U C U^T`` with a column of ``U`` per row of those
+    samples' forms (``_low_rank``), and it is solved from the base factor
+    (``_Factor.solve_updated``) while that rank is at most the base's
+    mean fill per column of ``U``; past it, the matrix is factored and
+    becomes the base.  Every solution is checked against the assembled
+    matrix (``_check_solution``).
     """
     data = build_interface_data(problem)
     m = mortar(data, problem.materials, config)
+    forms = _sample_forms(data, m, config)
     A0, b = bulk_system(problem)
     # fix the free-dof pattern of bulk plus interface blocks once; each
     # iteration only adds its blocks' values
     add_blocks, free = fixed_pattern(A0, data.dofs, problem.fixed_mask())
     bf = b[free]
+    local = np.full(problem.num_dofs, -1)
+    local[free] = np.arange(free.size)
+    sample_dofs = local[data.dofs[data.seg_of]]   # -1 at fixed dofs
 
     if start is None:
         active = np.ones(data.num_samples, dtype=bool)
@@ -570,24 +677,31 @@ def solve(config: NitscheConfig, problem: ContactProblem, start=None) -> SolveRe
         active = transfer_active(data.points, *start)
     seen = {active.tobytes()}
     history = []
-    u_prev = None
+    base = None
+    factorizations = 0
 
     for it in range(1, MAX_ITERATIONS + 1):
-        Af = add_blocks(_nitsche_blocks(data, m, config, active))
-        u = expand(spsolve(Af, bf, config.alpha), free, problem.num_dofs)
+        coef = forms.at(active)
+        Af = add_blocks(_nitsche_blocks(data, forms.rows, coef))
+        changed = None if base is None else np.flatnonzero(active != base_active)
+        if changed is None or changed.size * forms.rows.shape[1] > base.fill:
+            base = None   # one factor alive at a time
+            base, base_active, base_coef = spsolve(Af, bf, config.alpha), active, coef
+            factorizations += 1
+            uf = base.z
+        else:
+            delta = data.weights[changed, None, None] * (coef - base_coef)[changed]
+            U, C = _low_rank(forms.rows[changed], sample_dofs[changed], delta, free.size)
+            uf = _check_solution(Af, bf, base.solve_updated(U, C, config.alpha))
+        u = expand(uf, free, problem.num_dofs)
         lh = lh_values(data, m, u)
         new_active = lh > 0.0
-        unorm = float(np.linalg.norm(u))
-        rel = (
-            float(np.linalg.norm(u - u_prev)) / unorm
-            if (u_prev is not None and unorm > 0)
-            else (0.0 if u_prev is not None else np.inf)
-        )
-        history.append({"iteration": it, "n_active": int(new_active.sum()), "rel_update": rel})
+        history.append({"iteration": it, "n_active": int(new_active.sum())})
         if np.array_equal(new_active, active):
             return SolveResult(
                 problem=problem, config=config, data=data, mortar=m, u=u,
                 active=active, lam=np.maximum(lh, 0.0), iterations=it,
+                factorizations=factorizations,
             )
         key = new_active.tobytes()
         if key in seen:
@@ -596,11 +710,24 @@ def solve(config: NitscheConfig, problem: ContactProblem, start=None) -> SolveRe
             )
         seen.add(key)
         active = new_active
-        u_prev = u
 
     raise NonconvergenceError(
         f"active set did not settle within {MAX_ITERATIONS} iterations", history
     )
+
+
+def _low_rank(rows: np.ndarray, dofs: np.ndarray, coef: np.ndarray, n: int):
+    """``(U, C)`` with ``U C U^T = sum_s R_s^T F_s R_s`` over the free dofs,
+    for sample rows ``R_s`` (m, k, nd) at the free-dof ids ``dofs`` (m, nd)
+    (-1 at a fixed dof) and coefficients ``F_s`` (m, k, k): ``U`` (n, m k)
+    holds a column per row, and ``C`` is block diagonal."""
+    m, k, _ = rows.shape
+    at = np.broadcast_to(dofs[:, None, :], rows.shape)
+    col = np.broadcast_to(np.arange(m * k).reshape(m, k, 1), rows.shape)
+    kept = at >= 0
+    U = np.zeros((n, m * k))
+    U[at[kept], col[kept]] = rows[kept]   # a patch lists each dof once
+    return U, block_diag(*coef)
 
 
 def energy_norm(problem: ContactProblem, u: np.ndarray) -> float:

@@ -188,10 +188,11 @@ def oscillation(space: FeSpace, f: Optional[Callable]) -> np.ndarray:
     proj = phi @ np.linalg.inv(Mref) @ (w[:, None] * phi).T  # (nq, nq)
     xq = space.global_points(pts)
     fv = np.asarray(f(xq.reshape(-1, 2)), dtype=float).reshape(xq.shape)  # (nt, nq, 2)
-    fq = fv.transpose(1, 0, 2).reshape(len(w), -1)  # (nq, 2 nt)
-    diff = fq - proj @ fq
+    # einsum, not matmul: BLAS would thread these long products and leave
+    # its second thread spinning
+    diff = fv - np.einsum("qp,tpc->tqc", proj, fv)
     _, _, det = space.geometry()
-    err2 = (w @ (diff * diff)).reshape(nt, 2).sum(axis=1) * det
+    err2 = np.einsum("q,tqc,tqc->t", w, diff, diff) * det
     hK = space.mesh.triangle_diameters()
     return hK * np.sqrt(np.maximum(err2, 0.0))
 

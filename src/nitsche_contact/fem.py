@@ -321,9 +321,15 @@ def elastic_moduli_rows(grads: np.ndarray, n: np.ndarray, mat: MaterialParams):
 # ---------------------------------------------------------------------------
 
 def assemble_bulk(space: FeSpace, mat: MaterialParams) -> sp.csr_matrix:
-    """Stiffness matrix of the elasticity form over one body: the local
-    matrix is sum_q w_q det sigma(G_i) : G_j over the unit-dof gradients G,
-    with the rule of degree 2 (p - 1), exact on affine elements."""
+    """Stiffness matrix of the elasticity form over one body."""
+    return scatter(stiffness_blocks(space, mat), space.cell_dofs, space.num_dofs)
+
+
+def stiffness_blocks(space: FeSpace, mat: MaterialParams, out=None) -> np.ndarray:
+    """Element stiffness matrices (nt, 2 nl, 2 nl), written to ``out`` when
+    given: the local matrix is sum_q w_q det sigma(G_i) : G_j over the
+    unit-dof gradients G, with the rule of degree 2 (p - 1), exact on
+    affine elements."""
     p = space.degree
     pts, w = triangle_rule(2 * (p - 1))
     _, invA, det = space.geometry()
@@ -332,9 +338,7 @@ def assemble_bulk(space: FeSpace, mat: MaterialParams) -> sp.csr_matrix:
     nt, nq, nd = G.shape[:3]
     # contract over (q, a, b) in one matmul per body
     flat = lambda X: X.swapaxes(1, 2).reshape(nt, nd, 4 * nq)
-    local = flat(S) @ flat(G).swapaxes(1, 2)
-    del G, S  # free the per-point arrays before the sparse conversion peaks
-    return scatter(local, space.cell_dofs, space.num_dofs)
+    return np.matmul(flat(S), flat(G).swapaxes(1, 2), out=out)
 
 
 def scatter(blocks: np.ndarray, dofs: np.ndarray, n: int) -> sp.csr_matrix:

@@ -111,7 +111,8 @@ class TestDorfler:
 def _records(pairs):
     """Convergence records carrying only N and eta + S."""
     return [ConvergenceRecord(step=k, ndofs=n, eta=v, S=0.0, eta_plus_S=v, eta_element=0.0,
-                              eta_interior=0.0, eta_contact=0.0, eta_neumann=0.0, iterations=1)
+                              eta_interior=0.0, eta_contact=0.0, eta_neumann=0.0, iterations=1,
+                              factorizations=1)
             for k, (n, v) in enumerate(pairs)]
 
 

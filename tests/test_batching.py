@@ -193,7 +193,8 @@ def test_batched_kernels_match_sample_loops(case, draw):
     A0 = bulk_system(problem)[0]
     add_blocks, free = fixed_pattern(A0, data.dofs, problem.fixed_mask())
     assert np.array_equal(free, np.flatnonzero(~problem.fixed_mask()))
-    constrained = add_blocks(contact._nitsche_blocks(data, m, config, active))
+    forms = contact._sample_forms(data, m, config)
+    constrained = add_blocks(contact._nitsche_blocks(data, forms.rows, forms.at(active)))
     assert constrained.format == "csc" and constrained.has_canonical_format
     assert close(constrained, (A0 + N)[free][:, free])
 
@@ -361,7 +362,8 @@ def test_contact_estimator_matches_segment_loop(case, seed):
     result = SolveResult(problem=problem, config=config, data=data,
                          mortar=mortar(data, problem.materials, config),
                          u=1e-3 * rng.standard_normal(problem.num_dofs), active=None,
-                         lam=rng.standard_normal(data.num_samples), iterations=1)
+                         lam=rng.standard_normal(data.num_samples), iterations=1,
+                         factorizations=1)
     (c1, c2), S2 = contact_facet_estimator(result)
     (r1, r2), rS2 = reference_contact_estimator(result)
     assert close(c1, r1) and close(c2, r2)

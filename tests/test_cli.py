@@ -83,7 +83,8 @@ class TestStudyCommand:
         # values reparse bit-exactly
         recs = [ConvergenceRecord(step=r[0], ndofs=r[1], eta=r[2], S=r[3],
                                   eta_plus_S=r[4], eta_element=0, eta_interior=0,
-                                  eta_contact=0, eta_neumann=0, iterations=r[5])
+                                  eta_contact=0, eta_neumann=0, iterations=r[5],
+                                  factorizations=1)
                 for r in rows]
         slope_line = [l for l in path.read_text().splitlines() if l.startswith("#")][0]
         slope = float(slope_line.split()[-1])
@@ -114,11 +115,11 @@ class TestStudyCommand:
         recs = [ConvergenceRecord(step=0, ndofs=48, eta=0.0922056381819,
                                   S=1.234e-9, eta_plus_S=0.09220564, eta_element=0,
                                   eta_interior=0, eta_contact=0, eta_neumann=0,
-                                  iterations=1),
+                                  iterations=1, factorizations=1),
                 ConvergenceRecord(step=1, ndofs=160, eta=np.pi / 62.3, S=0.0,
                                   eta_plus_S=np.pi / 62.3, eta_element=0,
                                   eta_interior=0, eta_contact=0, eta_neumann=0,
-                                  iterations=2)]
+                                  iterations=2, factorizations=1)]
         path = tmp_path / "c.csv"
         write_convergence_csv(recs, path, slope=-0.5)
         rows = read_convergence_csv(path)

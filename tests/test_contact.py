@@ -38,6 +38,33 @@ def small_problem(experiment="pressing", degree=1, res=((2, 2), (3, 4)), e2=None
     return setup, make_problem(setup, m1, m2, degree)
 
 
+def reference_outcome(config, problem, active):
+    """The active-set iteration of ``solve`` with every iteration's matrix
+    assembled by ``assemble_nitsche``, checked for definiteness by its
+    eigenvalues and factored by scipy's general LU: the error ``solve``
+    should raise, or ``(None, iterations, active, u)``."""
+    data = build_interface_data(problem)
+    m = mortar(data, problem.materials, config)
+    A0, b = bulk_system(problem)
+    free = ~problem.fixed_mask()
+    seen = {active.tobytes()}
+    for it in range(1, contact.MAX_ITERATIONS + 1):
+        A = (A0 + assemble_nitsche(data, m, config, active, problem.num_dofs)).tocsc()
+        A = A[free][:, free]
+        if np.linalg.eigvalsh(A.toarray()).min() <= 0.0:
+            return (SolverError,)
+        u = np.zeros(problem.num_dofs)
+        u[free] = scipy.sparse.linalg.splu(A).solve(b[free])
+        new_active = lh_values(data, m, u) > 0.0
+        if np.array_equal(new_active, active):
+            return None, it, active, u
+        if new_active.tobytes() in seen:
+            return (NonconvergenceError,)
+        seen.add(new_active.tobytes())
+        active = new_active
+    return (NonconvergenceError,)
+
+
 class TestCoefficients:
     def test_weights_sum_to_one(self):
         _, prob = small_problem()
@@ -246,9 +273,9 @@ class TestSolve:
         calls = []
 
         def recorded(A, b, alpha, _factor=contact.spsolve):
-            x = _factor(A, b, alpha)
-            calls.append((A, b, x))
-            return x
+            factor = _factor(A, b, alpha)
+            calls.append((A, b, factor.z))
+            return factor
 
         monkeypatch.setattr(contact, "spsolve", recorded)
         _, prob = small_problem("bending", degree=degree, sweeps=2)
@@ -257,6 +284,40 @@ class TestSolve:
         for A, b, x in calls:
             ref = scipy.sparse.linalg.spsolve(A, b)
             assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_update_inertia_check_names_alpha(self):
+        # from an all-inactive start the base is the bulk matrix alone, SPD
+        # at any alpha; the samples that turn active come in as a low-rank
+        # update of it, and at alpha = 0.03 that update is indefinite
+        _, prob = small_problem("bending", degree=2, sweeps=1)
+        data = build_interface_data(prob)
+        start = (data.points, np.zeros(data.num_samples, dtype=bool))
+        with pytest.raises(SolverError, match=r"update\): alpha = 0.03 is too large"):
+            solve(NitscheConfig(alpha=0.03), prob, start)
+        res = solve(NitscheConfig(alpha=0.01), prob, start)
+        assert res.iterations > 1 and res.factorizations == 1
+
+    @settings(max_examples=30, deadline=None)
+    @given(variant=st.sampled_from(VARIANTS), degree=st.sampled_from([1, 2]),
+           sweeps=st.sampled_from([0, 1]), alpha=st.sampled_from([1e-3, 1e-2, 0.03, 0.3]),
+           drop=st.booleans(), draw=st.data())
+    def test_updates_match_a_factor_per_iteration(self, variant, degree, sweeps, alpha,
+                                                  drop, draw):
+        _, prob = small_problem("bending", degree=degree, sweeps=sweeps)
+        config = NitscheConfig(variant=variant, alpha=alpha, drop_inactive_terms=drop)
+        data = build_interface_data(prob)
+        ns = data.num_samples
+        start = np.array(draw.draw(st.lists(st.booleans(), min_size=ns, max_size=ns)))
+        expected = reference_outcome(config, prob, start)
+        if expected[0] is not None:
+            with pytest.raises(expected[0]):
+                solve(config, prob, (data.points, start))
+            return
+        _, iterations, active, u = expected
+        res = solve(config, prob, (data.points, start))
+        assert res.iterations == iterations
+        assert np.array_equal(res.active, active)
+        assert np.abs(res.u - u).max() <= 1e-10 * np.abs(u).max()
 
     def test_drop_toggle_changes_solution_slightly(self):
         _, prob = small_problem("bending", degree=1, sweeps=1)

@@ -52,7 +52,7 @@ def synthetic_result(problem, u, config=None, lam=None):
         lam = np.maximum(lh_values(data, m, u), 0.0)
     active = lam > 0
     return SolveResult(problem=problem, config=config, data=data, mortar=m, u=u,
-                       active=active, lam=lam, iterations=1)
+                       active=active, lam=lam, iterations=1, factorizations=1)
 
 
 class TestElement:

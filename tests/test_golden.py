@@ -1,8 +1,8 @@
 """Golden outputs of seed-0 studies.
 
 A refactor that should not change the numbers must reproduce these
-studies exactly: the free dof count and the active-set iterations of
-every step, and the final eta + S to 1e-12 relative (a reordered sum may
+studies exactly: the free dof count, the active-set iterations and the
+factorisations of every step, and the final eta + S to 1e-12 relative (a reordered sum may
 move it by rounding, a changed formula moves it far more).  The values
 were recorded from the code before the dof map, the block scatter and
 the facet normals each got a single owner.
@@ -15,7 +15,7 @@ from nitsche_contact.adapt import StudyConfig, run_study
 ETA_RTOL = 1e-12
 
 # (experiment, degree, mode, max_dofs, variant) -> per-step N, per-step
-# iterations, final eta + S
+# iterations, final eta + S; per-step factorisations in FACTORIZATIONS
 GOLDEN = {
     ("bending", 2, "adaptive", 2000, "weighted"): (
         [148, 164, 176, 204, 240, 272, 320, 388, 478, 632, 816, 986, 1314, 1626],
@@ -40,6 +40,17 @@ GOLDEN = {
 }
 
 
+# the work counter of the same studies: a solve factors its first matrix
+# and updates that factor for the later iterations, unless an update's
+# rank exceeds the factor's fill per column
+FACTORIZATIONS = {
+    ("bending", 2, "adaptive", 2000, "weighted"): [2] + [1] * 13,
+    ("bending", 2, "adaptive", 2000, "master-slave"): [1] * 14,
+    ("bending", 2, "adaptive", 2000, "juntunen"): [1] * 14,
+    ("pressing", 1, "uniform", 5000, "juntunen"): [1] * 4,
+}
+
+
 @pytest.mark.parametrize("key", list(GOLDEN), ids=lambda k: "-".join(map(str, k)))
 def test_study_reproduces_golden_output(key):
     experiment, degree, mode, max_dofs, variant = key
@@ -48,4 +59,5 @@ def test_study_reproduces_golden_output(key):
                                 max_dofs=max_dofs, variant=variant))
     assert [r.ndofs for r in out.records] == ndofs
     assert [r.iterations for r in out.records] == iterations
+    assert [r.factorizations for r in out.records] == FACTORIZATIONS[key]
     assert out.records[-1].eta_plus_S == pytest.approx(eta_plus_S, rel=ETA_RTOL, abs=0.0)
