@@ -54,7 +54,6 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import block_diag
 from scipy.sparse.linalg import splu
 
 from .fem import (
@@ -727,7 +726,9 @@ def _low_rank(rows: np.ndarray, dofs: np.ndarray, coef: np.ndarray, n: int):
     kept = at >= 0
     U = np.zeros((n, m * k))
     U[at[kept], col[kept]] = rows[kept]   # a patch lists each dof once
-    return U, block_diag(*coef)
+    C = np.zeros((m, k, m, k))
+    C[np.arange(m), :, np.arange(m)] = coef
+    return U, C.reshape(m * k, m * k)
 
 
 def energy_norm(problem: ContactProblem, u: np.ndarray) -> float:

@@ -7,11 +7,17 @@ traction residuals.  Their squared sum is the global estimator; a
 separate globally-defined complementarity term measures pressure acting
 across an open gap.
 
-The interior and Neumann facet traces are evaluated from per-element
-vertex stresses (``_facet_traction``): the discrete stress is at most
-linear inside an element, so its trace along any edge is the linear
-interpolant of the two endpoint values.  The contact terms read the body
-tractions from the solve's own interface rows (``InterfaceData``).
+Each family does only the work its value needs.  The discrete stress is
+at most linear inside an element, so its divergence is elementwise
+constant, and the element residual of an absent load is integrated
+without quadrature points.  The interior and Neumann facet traces come
+from per-element vertex stresses (``_endpoint_tractions``): the trace
+along an edge is the linear interpolant of its two endpoint values.  So
+the interior traction jump is linear along each facet, and its square is
+integrated in closed form from the endpoint jumps; the Neumann residual
+subtracts an arbitrary prescribed traction and keeps Gauss points.  The
+contact terms read the body tractions from the solve's own interface
+rows (``InterfaceData``).
 """
 
 from __future__ import annotations
@@ -94,81 +100,105 @@ def _cell_coefficients(space: FeSpace, coeffs: np.ndarray) -> np.ndarray:
     return coeffs[space.cell_dofs.reshape(len(space.cell_dofs), -1, 2).swapaxes(1, 2)]
 
 
+def _contract(space: FeSpace, coeffs: np.ndarray, D: np.ndarray) -> np.ndarray:
+    """sum_l u_cl D_l per element and component for reference data ``D``
+    (nl, ...) of the local basis, in one product: (nt, 2, ...)."""
+    C = _cell_coefficients(space, coeffs)
+    nt, _, nl = C.shape
+    return (C.reshape(-1, nl) @ D.reshape(nl, -1)).reshape((nt, 2) + D.shape[1:])
+
+
 def vertex_stresses(space: FeSpace, mat: MaterialParams, coeffs: np.ndarray) -> np.ndarray:
-    """Stress tensor at the three vertices of every element, (nt, 3, 2, 2)."""
-    g = shape_gradients(space.degree, _REF_VERTICES) @ space.geometry()[1][:, None]
-    return stress(mat, _cell_coefficients(space, coeffs)[:, None] @ g)    # (nt, 3, 2, 2)
+    """Stress tensor at the three vertices of every element, (nt, 3, 2, 2).
+    The coefficients meet the reference gradients first, and only the
+    resulting reference displacement gradients are mapped by invA; a P1
+    gradient is constant, so one vertex serves all three."""
+    verts = _REF_VERTICES[:1] if space.degree == 1 else _REF_VERTICES
+    G = shape_gradients(space.degree, verts).swapaxes(0, 1)           # (nl, nv, 2)
+    ref = _contract(space, coeffs, G).swapaxes(1, 2)                  # (nt, nv, 2, 2)
+    sig = stress(mat, ref @ space.geometry()[1][:, None])
+    return np.repeat(sig, 3, axis=1) if space.degree == 1 else sig
 
 
 def stress_divergence(space: FeSpace, mat: MaterialParams, coeffs: np.ndarray) -> np.ndarray:
     """Elementwise-constant divergence of the discrete stress, (nt, 2):
-    sigma is linear, so (div sigma(u))_a = sum_j sigma(d_j grad u)_aj."""
+    sigma is linear, so (div sigma(u))_a = sum_j sigma(d_j grad u)_aj,
+    and a P1 stress is constant, so its divergence is zero."""
+    nt = space.mesh.num_triangles
+    if space.degree == 1:
+        return np.zeros((nt, 2))
     _, invA, _ = space.geometry()
-    # physical Hessians invA^T H invA per element and basis function, (nt, nl, 2, 2)
-    H = invA.swapaxes(1, 2)[:, None] @ shape_hessians(space.degree) @ invA[:, None]
-    nt, nl = H.shape[:2]
+    # reference Hessians of each component, mapped to invA^T h invA, (nt, c, i, j)
+    h = _contract(space, coeffs, shape_hessians(space.degree))
+    H = invA.swapaxes(1, 2)[:, None] @ h @ invA[:, None]
     # d_j grad u as (nt, j, c, b): Hessians are symmetric, so H_bj = H_jb
-    dgrad = (_cell_coefficients(space, coeffs) @ H.reshape(nt, nl, 4)).reshape(nt, 2, 2, 2)
-    sig = stress(mat, dgrad.swapaxes(1, 2))                 # (nt, j, a, b)
+    sig = stress(mat, H.swapaxes(1, 2))                     # (nt, j, a, b)
     return sig[:, 0, :, 0] + sig[:, 1, :, 1]
 
 
 def element_estimator(space: FeSpace, mat: MaterialParams, coeffs: np.ndarray,
                       f: Optional[Callable]) -> np.ndarray:
-    """Squared element residuals (h_K^2 / mu) ||div sigma + f||^2."""
+    """Squared element residuals (h_K^2 / mu) ||div sigma + f||^2.  The
+    residual of an absent load is the constant div sigma, integrated
+    without quadrature points."""
     pts, w = triangle_rule(VOLUME_QUAD_DEGREE)
     div = stress_divergence(space, mat, coeffs)  # (nt, 2)
-    xq = space.global_points(pts)
-    if f is None:
-        fv = np.zeros_like(xq)
-    else:
-        fv = np.asarray(f(xq.reshape(-1, 2)), dtype=float).reshape(xq.shape)
-    r = fv + div[:, None, :]
     _, _, det = space.geometry()
-    norm2 = np.einsum("q,tqc,tqc,t->t", w, r, r, det)
+    if f is None:
+        norm2 = w.sum() * (div * div).sum(axis=1) * det
+    else:
+        xq = space.global_points(pts)
+        r = np.asarray(f(xq.reshape(-1, 2)), dtype=float).reshape(xq.shape) + div[:, None, :]
+        norm2 = np.einsum("q,tqc,tqc->t", w, r, r) * det
     hK = space.mesh.triangle_diameters()
     return hK**2 / mat.mu * norm2
 
 
-def _facet_traction(mesh, sig, facets, side, xi):
-    """Traction sigma n at the parameters ``xi`` along each facet from the
+def _endpoint_tractions(mesh, sig, facets, side):
+    """Traction sigma n at the two endpoints of each facet, from the
     vertex stresses ``sig`` of the triangle on ``side`` (0, 1, or both as
-    a leading axis), n the facet normal out of side 0."""
-    n = mesh.facet_normals(facets)
-    va, vb = mesh.facets[facets].T
-    tris = mesh.facet_triangles[facets][:, side].T        # ([nsides,] nf)
-    # local index of the facet endpoints within the adjacent triangle
-    tv = mesh.triangles[tris]
-    la = (tv == va[:, None]).argmax(axis=-1)
-    lb = (tv == vb[:, None]).argmax(axis=-1)
-    ta = (sig[tris, la] @ n[:, :, None])[..., 0]          # ([nsides,] nf, 2)
-    tb = (sig[tris, lb] @ n[:, :, None])[..., 0]
-    return ta[..., None, :] * (1 - xi)[:, None] + tb[..., None, :] * xi[:, None]
+    a leading axis), n the facet normal out of side 0: (2, [nsides,] 2,
+    nf), the traction component first and the endpoint ``facets[f, k]``
+    on axis -2.  The stress is at most linear, so the trace between the
+    endpoints is their linear interpolant."""
+    n0, n1 = mesh.facet_normals(facets).T
+    # np.take gathers rows several times faster than fancy indexing
+    tris = np.take(mesh.facet_triangles, facets, axis=0)[:, side].T[..., None, :]
+    # local index of each endpoint within the adjacent triangle
+    tv = np.take(mesh.triangles, tris, axis=0)                      # ([nsides,] 1, nf, 3)
+    ends = np.take(mesh.facets, facets, axis=0).T
+    local = (tv[..., 1] == ends) + 2 * (tv[..., 2] == ends)
+    s = np.take(sig.reshape(-1, 4), 3 * tris + local, axis=0)      # ([nsides,] 2, nf, 4)
+    return np.stack([s[..., 0] * n0 + s[..., 1] * n1, s[..., 2] * n0 + s[..., 3] * n1])
 
 
 def interior_facet_estimator(space: FeSpace, mat: MaterialParams, sig: np.ndarray) -> np.ndarray:
     """Squared traction-jump terms (h_E / mu) ||[sigma n]||^2 over all
-    facets (zero on boundary facets); ``sig`` is ``vertex_stresses``."""
+    facets (zero on boundary facets); ``sig`` is ``vertex_stresses``.
+    The jump is linear along the facet, from ``a`` to ``b``, so its squared
+    mean is exactly (|a|^2 + a.b + |b|^2) / 3."""
     mesh = space.mesh
     out = np.zeros(mesh.num_facets)
     interior = np.flatnonzero(mesh.facet_triangles[:, 1] >= 0)
-    xi, wg = gauss1d(space.degree + 1)
-    tr = _facet_traction(mesh, sig, interior, (0, 1), xi)
-    jump = tr[0] - tr[1]
+    tr = _endpoint_tractions(mesh, sig, interior, (0, 1))
+    a, b = (tr[:, 0] - tr[:, 1]).swapaxes(0, 1)                      # (2, nf) each
     length = mesh.facet_lengths()[interior]
-    out[interior] = length**2 / mat.mu * np.einsum("q,fqa,fqa->f", wg, jump, jump)
+    out[interior] = length**2 / mat.mu * (a * a + a * b + b * b).sum(axis=0) / 3.0
     return out
 
 
 def neumann_facet_estimator(space: FeSpace, mat: MaterialParams, sig: np.ndarray) -> np.ndarray:
     """Squared Neumann residuals (h_E / mu) ||sigma n - g||^2 (g the
     prescribed traction, zero by default), over all facets; ``sig`` is
-    ``vertex_stresses``."""
+    ``vertex_stresses``.  g is any callable, so this family keeps Gauss
+    points."""
     mesh = space.mesh
     out = np.zeros(mesh.num_facets)
     neumann = mesh.facets_of_kind("neumann")
     xi, wg = gauss1d(space.degree + 1)
-    tr = _facet_traction(mesh, sig, neumann, 0, xi) - boundary_traction(mesh, neumann, xi)
+    ta, tb = _endpoint_tractions(mesh, sig, neumann, 0).T.swapaxes(0, 1)   # (nf, 2) each
+    tr = (ta[:, None, :] * (1 - xi)[:, None] + tb[:, None, :] * xi[:, None]
+          - boundary_traction(mesh, neumann, xi))
     length = mesh.facet_lengths()[neumann]
     out[neumann] = length**2 / mat.mu * np.einsum("q,fqa,fqa->f", wg, tr, tr)
     return out
@@ -188,9 +218,7 @@ def oscillation(space: FeSpace, f: Optional[Callable]) -> np.ndarray:
     proj = phi @ np.linalg.inv(Mref) @ (w[:, None] * phi).T  # (nq, nq)
     xq = space.global_points(pts)
     fv = np.asarray(f(xq.reshape(-1, 2)), dtype=float).reshape(xq.shape)  # (nt, nq, 2)
-    # einsum, not matmul: BLAS would thread these long products and leave
-    # its second thread spinning
-    diff = fv - np.einsum("qp,tpc->tqc", proj, fv)
+    diff = (np.eye(len(w)) - proj) @ fv
     _, _, det = space.geometry()
     err2 = np.einsum("q,tqc,tqc->t", w, diff, diff) * det
     hK = space.mesh.triangle_diameters()
@@ -217,7 +245,6 @@ def contact_facet_estimator(result: SolveResult):
     problem = result.problem
     data = result.data
     mats = problem.materials
-    out = tuple(np.zeros(space.mesh.num_facets) for space in problem.spaces)
     nseg = data.parents.shape[0]
     h = (data.h1, data.h2)
     lam = result.lam
@@ -230,9 +257,10 @@ def contact_facet_estimator(result: SolveResult):
              + (mats[i].mu / h[i]) * np.maximum(-jump, 0.0) ** 2 for i in range(2)]
     for body, weight, traction in result.mortar.consistency:
         terms[body - 1] = terms[body - 1] + weight * (lam + combine(traction, *snn)) ** 2
-    for i in range(2):
-        per_seg = (data.weights * terms[i]).reshape(nseg, data.n_per_seg).sum(axis=1)
-        np.add.at(out[i], data.parents[:, i], per_seg)
+    out = tuple(np.bincount(data.parents[:, i],
+                            weights=(data.weights * terms[i]).reshape(nseg, data.n_per_seg).sum(axis=1),
+                            minlength=space.mesh.num_facets)
+                for i, space in enumerate(problem.spaces))
     return out, S2
 
 
@@ -259,14 +287,14 @@ def report(result: SolveResult) -> EstimatorReport:
     aggregates = []
     for i in range(2):
         mesh = problem.spaces[i].mesh
-        agg = element2[i].copy()
-        facet_total = interior2[i] + contact2[i] + neumann2[i]
-        share = np.where((mesh.facet_triangles >= 0).sum(axis=1) == 2, 0.5, 1.0)
-        for side in (0, 1):
-            tris = mesh.facet_triangles[:, side]
-            valid = tris >= 0
-            np.add.at(agg, tris[valid], (share * facet_total)[valid])
-        aggregates.append(agg)
+        nt = mesh.num_triangles
+        sides = mesh.facet_triangles
+        inner = sides[:, 1] >= 0
+        share = np.where(inner, 0.5, 1.0) * (interior2[i] + contact2[i] + neumann2[i])
+        # one bincount, summing in the order element, side 0, side 1
+        aggregates.append(np.bincount(
+            np.concatenate([np.arange(nt), sides[:, 0], sides[inner, 1]]),
+            weights=np.concatenate([element2[i], share, share[inner]]), minlength=nt))
 
     return EstimatorReport(
         element2=tuple(element2),

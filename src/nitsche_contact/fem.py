@@ -232,15 +232,11 @@ class FeSpace:
         return A, invA, det
 
     def global_points(self, ref_pts: np.ndarray) -> np.ndarray:
-        """Map reference points to every element: (nt, nq, 2)."""
-        p = self.mesh.vertices
-        t = self.mesh.triangles
-        l0 = 1.0 - ref_pts[:, 0] - ref_pts[:, 1]
-        return (
-            l0[None, :, None] * p[t[:, 0]][:, None, :]
-            + ref_pts[None, :, 0, None] * p[t[:, 1]][:, None, :]
-            + ref_pts[None, :, 1, None] * p[t[:, 2]][:, None, :]
-        )
+        """Map reference points to every element: (nt, nq, 2), their
+        barycentric coordinates times the element's vertices."""
+        x, y = ref_pts[:, 0], ref_pts[:, 1]
+        bary = np.column_stack([1.0 - x - y, x, y])                   # (nq, 3)
+        return bary @ np.take(self.mesh.vertices, self.mesh.triangles, axis=0)
 
     def ref_coords(self, t, x: np.ndarray) -> np.ndarray:
         """Reference coordinates of physical points ``x`` (..., nq, 2) inside

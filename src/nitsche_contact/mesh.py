@@ -106,20 +106,23 @@ class Mesh:
         return _signed_areas(self.vertices, self.triangles)
 
     def facet_lengths(self) -> np.ndarray:
-        e = self.vertices[self.facets[:, 1]] - self.vertices[self.facets[:, 0]]
+        a, b = self.facets.T
+        e = np.take(self.vertices, b, axis=0) - np.take(self.vertices, a, axis=0)
         return np.hypot(e[:, 0], e[:, 1])
 
     def facet_normals(self, facets: np.ndarray) -> np.ndarray:
         """Unit normals (n, 2) of ``facets`` pointing out of their first
-        triangle ``facet_triangles[f, 0]``, so outward on the boundary."""
-        a, b = self.facets[facets].T
-        e = self.vertices[b] - self.vertices[a]
+        triangle ``facet_triangles[f, 0]``, so outward on the boundary.
+        Rows are gathered with ``np.take``, which copies them several times
+        faster than fancy indexing."""
+        a, b = np.take(self.facets, facets, axis=0).T
+        e = np.take(self.vertices, b, axis=0) - np.take(self.vertices, a, axis=0)
         n = np.column_stack([e[:, 1], -e[:, 0]]) / np.hypot(e[:, 0], e[:, 1])[:, None]
         # triangles are counterclockwise: e turned clockwise points out of
         # the triangle that runs from a to b, and into the other one
-        tri = self.triangles[self.facet_triangles[facets, 0]]
-        after_a = tri[np.arange(len(tri)), ((tri == a[:, None]).argmax(axis=1) + 1) % 3]
-        return np.where((after_a == b)[:, None], n, -n)
+        t0, t1, t2 = np.take(self.triangles, self.facet_triangles[facets, 0], axis=0).T
+        a_to_b = ((t0 == a) & (t1 == b)) | ((t1 == a) & (t2 == b)) | ((t2 == a) & (t0 == b))
+        return np.where(a_to_b[:, None], n, -n)
 
     def facet_midpoints(self) -> np.ndarray:
         return 0.5 * (self.vertices[self.facets[:, 0]] + self.vertices[self.facets[:, 1]])

@@ -297,6 +297,26 @@ class TestSolve:
         res = solve(NitscheConfig(alpha=0.01), prob, start)
         assert res.iterations > 1 and res.factorizations == 1
 
+    @pytest.mark.parametrize("m, k", [(1, 1), (3, 2), (6, 3)])
+    def test_low_rank_factors_sum_the_sample_blocks(self, m, k):
+        # U C U^T = sum_s R_s^T F_s R_s over the free dofs, for patches that
+        # overlap and touch fixed dofs (-1)
+        rng = np.random.default_rng(10 * m + k)
+        n, nd = 9, 4
+        dofs = np.array([rng.choice(n, nd, replace=False) for _ in range(m)])
+        dofs[rng.random(dofs.shape) < 0.25] = -1
+        rows = rng.standard_normal((m, k, nd))
+        coef = rng.standard_normal((m, k, k))
+        U, C = contact._low_rank(rows, dofs, coef, n)
+        expect = np.zeros((n, n))
+        for R, at, F in zip(rows, dofs, coef):
+            kept = at >= 0
+            Rs = np.zeros((k, n))
+            Rs[:, at[kept]] = R[:, kept]
+            expect += Rs.T @ F @ Rs
+        assert U.shape == (n, m * k) and C.shape == (m * k, m * k)
+        assert np.abs(U @ C @ U.T - expect).max() <= 1e-13 * np.abs(expect).max()
+
     @settings(max_examples=30, deadline=None)
     @given(variant=st.sampled_from(VARIANTS), degree=st.sampled_from([1, 2]),
            sweeps=st.sampled_from([0, 1]), alpha=st.sampled_from([1e-3, 1e-2, 0.03, 0.3]),

@@ -24,11 +24,17 @@ from nitsche_contact.fem import (
     FeSpace,
     FieldFunction,
     MaterialParams,
+    boundary_traction,
+    gauss1d,
     interpolate,
+    shape_gradients,
+    shape_hessians,
+    shape_values,
     strain,
     stress,
+    triangle_rule,
 )
-from nitsche_contact.mesh import uniform_refine
+from nitsche_contact.mesh import bisect_refine, uniform_refine
 
 from test_batching import reference_contact_estimator
 from test_mesh import body1_mesh
@@ -44,6 +50,103 @@ def contact_pair(degree=1, res=((2, 2), (3, 4)), experiment="pressing", sweeps=0
     return setup, make_problem(setup, m1, m2, degree)
 
 
+# Reference kernels: the Gauss-point formulas the estimator families were
+# first written with, kept here as an independent check of the closed
+# forms.  Each maps every reference point to every element explicitly and
+# integrates the interior jump at Gauss points rather than in closed form.
+
+REF_VERTICES = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+
+
+def ref_points(space, ref_pts):
+    p = space.mesh.vertices[space.mesh.triangles]                  # (nt, 3, 2)
+    A = np.stack([p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]], axis=-1)
+    return p[:, None, 0, :] + (A[:, None] @ ref_pts[None, :, :, None])[..., 0]
+
+
+def ref_cell_coefficients(space, coeffs):
+    nodes = space.cell_nodes
+    return np.stack([coeffs[2 * nodes], coeffs[2 * nodes + 1]], axis=1)  # (nt, 2, nl)
+
+
+def ref_vertex_stresses(space, mat, coeffs):
+    g = shape_gradients(space.degree, REF_VERTICES) @ space.geometry()[1][:, None]
+    return stress(mat, ref_cell_coefficients(space, coeffs)[:, None] @ g)
+
+
+def ref_divergence(space, mat, coeffs):
+    _, invA, _ = space.geometry()
+    H = invA.swapaxes(1, 2)[:, None] @ shape_hessians(space.degree) @ invA[:, None]
+    C = ref_cell_coefficients(space, coeffs)
+    dgrad = np.einsum("tcl,tljb->tjcb", C, H)                    # d_j grad u
+    sig = stress(mat, dgrad)
+    return sig[:, 0, :, 0] + sig[:, 1, :, 1]
+
+
+def ref_element(space, mat, coeffs, f):
+    pts, w = triangle_rule(6)
+    xq = ref_points(space, pts)
+    fv = np.zeros_like(xq) if f is None else f(xq.reshape(-1, 2)).reshape(xq.shape)
+    r = fv + ref_divergence(space, mat, coeffs)[:, None, :]
+    norm2 = np.einsum("q,tqc,tqc,t->t", w, r, r, space.geometry()[2])
+    return space.mesh.triangle_diameters() ** 2 / mat.mu * norm2
+
+
+def ref_traction(mesh, sig, facets, side, xi):
+    n = mesh.facet_normals(facets)
+    va, vb = mesh.facets[facets].T
+    tris = mesh.facet_triangles[facets][:, side].T
+    tv = mesh.triangles[tris]
+    la = (tv == va[:, None]).argmax(axis=-1)
+    lb = (tv == vb[:, None]).argmax(axis=-1)
+    ta = (sig[tris, la] @ n[:, :, None])[..., 0]
+    tb = (sig[tris, lb] @ n[:, :, None])[..., 0]
+    return ta[..., None, :] * (1 - xi)[:, None] + tb[..., None, :] * xi[:, None]
+
+
+def ref_interior(space, mat, sig):
+    mesh = space.mesh
+    out = np.zeros(mesh.num_facets)
+    interior = np.flatnonzero(mesh.facet_triangles[:, 1] >= 0)
+    xi, wg = gauss1d(space.degree + 1)
+    tr = ref_traction(mesh, sig, interior, (0, 1), xi)
+    jump = tr[0] - tr[1]
+    length = mesh.facet_lengths()[interior]
+    out[interior] = length**2 / mat.mu * np.einsum("q,fqa,fqa->f", wg, jump, jump)
+    return out
+
+
+def ref_neumann(space, mat, sig):
+    mesh = space.mesh
+    out = np.zeros(mesh.num_facets)
+    neumann = mesh.facets_of_kind("neumann")
+    xi, wg = gauss1d(space.degree + 1)
+    tr = ref_traction(mesh, sig, neumann, 0, xi) - boundary_traction(mesh, neumann, xi)
+    length = mesh.facet_lengths()[neumann]
+    out[neumann] = length**2 / mat.mu * np.einsum("q,fqa,fqa->f", wg, tr, tr)
+    return out
+
+
+def ref_oscillation(space, f):
+    if f is None:
+        return np.zeros(space.mesh.num_triangles)
+    pts, w = triangle_rule(6)
+    phi = shape_values(space.degree, pts)
+    Mref = np.einsum("q,ql,qm->lm", w, phi, phi)
+    proj = phi @ np.linalg.inv(Mref) @ (w[:, None] * phi).T
+    xq = ref_points(space, pts)
+    fv = f(xq.reshape(-1, 2)).reshape(xq.shape)
+    diff = fv - np.einsum("qp,tpc->tqc", proj, fv)
+    err2 = np.einsum("q,tqc,tqc->t", w, diff, diff) * space.geometry()[2]
+    return space.mesh.triangle_diameters() * np.sqrt(np.maximum(err2, 0.0))
+
+
+def assert_close(x, ref, rtol):
+    """Entrywise agreement relative to the largest reference entry."""
+    assert x.shape == ref.shape
+    assert np.abs(x - ref).max() <= rtol * np.abs(ref).max()
+
+
 def synthetic_result(problem, u, config=None, lam=None):
     config = config or NitscheConfig(alpha=1e-2)
     data = build_interface_data(problem)
@@ -53,6 +156,58 @@ def synthetic_result(problem, u, config=None, lam=None):
     active = lam > 0
     return SolveResult(problem=problem, config=config, data=data, mortar=m, u=u,
                        active=active, lam=lam, iterations=1, factorizations=1)
+
+
+SMOOTH_LOAD = lambda x: np.column_stack([np.sin(3 * x[:, 0]) + x[:, 1],
+                                         np.cos(2 * x[:, 1]) * x[:, 0]])
+
+
+def random_field(degree, seed):
+    """A random field on an irregular NVB mesh of the patch test's first
+    body, whose clamp face carries a traction (a Neumann family with g)."""
+    rng = np.random.default_rng(seed)
+    setup = make_experiment("patch")
+    mesh = initial_meshes(setup, ((2, 3), (3, 4)))[0]
+    for _ in range(3):
+        mesh = bisect_refine(mesh, np.flatnonzero(rng.random(mesh.num_triangles) < 0.4))
+    space = FeSpace.build(mesh, degree)
+    return space, rng.standard_normal(space.num_dofs)
+
+
+class TestAgainstGaussPointReference:
+    @pytest.mark.parametrize("degree", [1, 2])
+    @pytest.mark.parametrize("load", [None, SMOOTH_LOAD], ids=["no-load", "load"])
+    def test_element_and_oscillation(self, degree, load):
+        space, coeffs = random_field(degree, seed=degree)
+        assert_close(stress_divergence(space, MAT, coeffs), ref_divergence(space, MAT, coeffs),
+                     1e-13)
+        assert_close(element_estimator(space, MAT, coeffs, load),
+                     ref_element(space, MAT, coeffs, load), 1e-13)
+        if load is None:
+            assert not oscillation(space, load).any()
+        else:
+            assert_close(oscillation(space, load), ref_oscillation(space, load), 1e-12)
+
+    @pytest.mark.parametrize("degree", [1, 2])
+    def test_facet_families(self, degree):
+        space, coeffs = random_field(degree, seed=10 + degree)
+        assert space.mesh.facets_of_kind("neumann").size
+        sig = vertex_stresses(space, MAT, coeffs)
+        ref = ref_vertex_stresses(space, MAT, coeffs)
+        assert_close(sig, ref, 1e-13)
+        assert_close(interior_facet_estimator(space, MAT, sig), ref_interior(space, MAT, ref),
+                     1e-12)
+        assert_close(neumann_facet_estimator(space, MAT, sig), ref_neumann(space, MAT, ref),
+                     1e-12)
+
+    @pytest.mark.parametrize("degree", [1, 2])
+    def test_absent_load_is_a_zero_load(self, degree):
+        space, coeffs = random_field(degree, seed=20 + degree)
+        zero = lambda x: np.zeros_like(x)
+        absent = element_estimator(space, MAT, coeffs, None)
+        explicit = element_estimator(space, MAT, coeffs, zero)
+        assert np.allclose(absent, explicit, rtol=1e-14, atol=0.0)
+        assert (absent > 0).any() == (degree == 2)
 
 
 class TestElement:

@@ -105,6 +105,21 @@ class TestBasis:
             assert np.allclose(vals[:, 0], xs[:, 0] ** 2, atol=1e-12)
             assert np.allclose(vals[:, 1], xs[:, 0] * xs[:, 1], atol=1e-12)
 
+    @pytest.mark.parametrize("degree", [1, 2])
+    def test_global_points_are_the_affine_map(self, degree):
+        # p0 + A xi per element, A = [p1 - p0, p2 - p0], at random reference
+        # points and at the single-point rule
+        mesh = uniform_refine(body1_mesh(2, 3), 1)
+        space = FeSpace.build(mesh, degree)
+        p = mesh.vertices[mesh.triangles]
+        A = np.stack([p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]], axis=-1)
+        rng = np.random.default_rng(degree)
+        for ref in (rng.random((7, 2)) * 0.5, triangle_rule(1)[0]):
+            expect = p[:, None, 0, :] + np.einsum("tij,qj->tqi", A, ref)
+            xs = space.global_points(ref)
+            assert xs.shape == (mesh.num_triangles, len(ref), 2)
+            assert np.allclose(xs, expect, rtol=0, atol=1e-15)
+
     def test_dof_counts(self):
         m = body1_mesh(2, 3)
         assert FeSpace.build(m, 1).num_dofs == 2 * m.num_vertices

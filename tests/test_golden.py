@@ -2,10 +2,12 @@
 
 A refactor that should not change the numbers must reproduce these
 studies exactly: the free dof count, the active-set iterations and the
-factorisations of every step, and the final eta + S to 1e-12 relative (a reordered sum may
-move it by rounding, a changed formula moves it far more).  The values
-were recorded from the code before the dof map, the block scatter and
-the facet normals each got a single owner.
+factorisations of every step, and the final eta + S and each estimator
+family's final total to 1e-12 relative (a reordered sum may move them by
+rounding, a changed formula moves them far more).  The values were
+recorded from the code before the dof map, the block scatter and the
+facet normals each got a single owner; the family totals from the code
+before the estimator's closed-form facet jumps.
 """
 
 import pytest
@@ -51,6 +53,28 @@ FACTORIZATIONS = {
 }
 
 
+# final estimator family totals of the same studies: element, interior,
+# contact, neumann (squared sums), so that a shift between families shows
+FAMILY_TOTALS = {
+    ("bending", 2, "adaptive", 2000, "weighted"): (
+        4.905585269120049e-06, 1.7667807036364472e-06,
+        3.2440389392280243e-07, 2.1301260824721346e-07,
+    ),
+    ("bending", 2, "adaptive", 2000, "master-slave"): (
+        5.141057030877141e-06, 2.036812218668822e-06,
+        2.458629868723979e-07, 2.230762998929908e-07,
+    ),
+    ("bending", 2, "adaptive", 2000, "juntunen"): (
+        4.978460065695433e-06, 1.952821837947544e-06,
+        2.5089927428481127e-08, 2.171027493416872e-07,
+    ),
+    ("pressing", 1, "uniform", 5000, "juntunen"): (
+        0.00010579427083333361, 6.987456559742034e-05,
+        4.566789207391637e-07, 1.3614559590051004e-06,
+    ),
+}
+
+
 @pytest.mark.parametrize("key", list(GOLDEN), ids=lambda k: "-".join(map(str, k)))
 def test_study_reproduces_golden_output(key):
     experiment, degree, mode, max_dofs, variant = key
@@ -61,3 +85,6 @@ def test_study_reproduces_golden_output(key):
     assert [r.iterations for r in out.records] == iterations
     assert [r.factorizations for r in out.records] == FACTORIZATIONS[key]
     assert out.records[-1].eta_plus_S == pytest.approx(eta_plus_S, rel=ETA_RTOL, abs=0.0)
+    totals = out.report.family_totals
+    assert list(totals) == ["element", "interior", "contact", "neumann"]
+    assert list(totals.values()) == pytest.approx(FAMILY_TOTALS[key], rel=ETA_RTOL, abs=0.0)
